@@ -86,7 +86,7 @@ void Main() {
     env.sim.RunUntil(env.sim.Now() + Duration::Millis(1));
 
     const SimTime split_start = env.sim.Now();
-    QS_CHECK(env.sim.BlockOn(SplitVectorShard(ctx, vec, donor)).ok());
+    QS_CHECK(env.sim.BlockOn(SplitShard(ctx, vec, donor)).ok());
     const Duration split_time = env.sim.Now() - split_start;
 
     env.sim.RunUntil(env.sim.Now() + Duration::Millis(1));
@@ -102,7 +102,7 @@ void Main() {
       env.rt->EndMaintenance(shards[1].proclet);
     }
     const SimTime merge_start = env.sim.Now();
-    QS_CHECK(env.sim.BlockOn(MergeVectorShards(ctx, vec, shards[0], shards[1])).ok());
+    QS_CHECK(env.sim.BlockOn(MergeShards(ctx, vec, shards[0], shards[1])).ok());
     const Duration merge_time = env.sim.Now() - merge_start;
     stop = true;
     env.sim.RunUntil(env.sim.Now() + Duration::Millis(1));

@@ -51,7 +51,13 @@ Task<> Producer1k(Channel<int>& ch) {
 }
 
 Task<> Consumer1k(Channel<int>& ch) {
-  while ((co_await ch.Recv()).has_value()) {
+  // Named local, never `while ((co_await ch.Recv()).has_value())`: GCC 12
+  // miscompiles co_await in a loop condition (scripts/check.sh lints it).
+  for (;;) {
+    auto v = co_await ch.Recv();
+    if (!v.has_value()) {
+      break;
+    }
   }
 }
 

@@ -60,7 +60,7 @@ int main() {
   AdaptiveController controller(rt, 0, Duration::Millis(2));
   controller.Register("kv", [store](Ctx c) mutable -> Task<> {
     auto maintain =
-        MaintainShardedMap(c, store, kMaxShardBytes, kMaxShardBytes / 8);
+        MaintainShards(c, store, kMaxShardBytes, kMaxShardBytes / 8);
     co_await std::move(maintain);
   });
   controller.Start();

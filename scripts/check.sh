@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build + ctest, plain and sanitized (ASan+UBSan).
+# Tier-1 gate: lint, then build + ctest, plain and sanitized (ASan+UBSan).
 #
 # Usage: scripts/check.sh [--plain-only|--sanitize-only]
 
@@ -16,6 +16,18 @@ case "${1:-}" in
 esac
 
 jobs="$(nproc 2>/dev/null || echo 4)"
+
+# Lint: GCC 12 miscompiles co_await inside a loop condition — micro_sim
+# crashed on `while ((co_await ch.Recv()).has_value())`. Await into a named
+# local in the loop body instead. Comment lines are skipped.
+loop_awaits="$(grep -rnE '^[^/]*\b(while|for)[[:space:]]*\(.*co_await' \
+  --include='*.h' --include='*.cc' --include='*.cpp' \
+  src bench tests examples perfbench || true)"
+if [[ -n "$loop_awaits" ]]; then
+  echo "lint: co_await in a loop condition; await into a named local:" >&2
+  echo "$loop_awaits" >&2
+  exit 1
+fi
 
 run_suite() {
   local build_dir="$1"

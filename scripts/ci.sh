@@ -2,7 +2,8 @@
 # CI entry point: tier-1 tests (plain + ASan/UBSan via scripts/check.sh) and
 # the smoke gates (durability, trace determinism, partition failover,
 # overload control, autoscale, chaos, memoization), each of which fails on
-# nondeterminism between two same-seed runs.
+# nondeterminism between two same-seed runs, plus the ds split/merge record
+# gate (ab3, kv_rebalance) and a short run of every micro_sim benchmark.
 #
 # Usage: scripts/ci.sh            # full gate
 #        scripts/ci.sh --soak N   # chaos soak only: N seeded schedules
@@ -55,6 +56,14 @@ echo "== memo smoke: hit-rate, cache-first harvest and stale-serve gates, determ
 
 echo "== scale smoke: event-core digests stable across runs, throughput above floor =="
 ./build/bench/scale_sim --smoke
+
+echo "== ds reshape gate: split/merge sim-time outputs match the committed records =="
+./build/bench/ab3_split_merge >/dev/null
+./build/examples/kv_rebalance > results/example_kv_rebalance.txt
+git diff --exit-code results/BENCH_ab3.json results/example_kv_rebalance.txt
+
+echo "== micro_sim: every microbenchmark runs to completion =="
+./build/bench/micro_sim --benchmark_min_time=0.01 >/dev/null
 
 echo "== chaos smoke (sanitized): same gate under ASan/UBSan =="
 ./build-asan/bench/ab11_chaos --smoke

@@ -1,4 +1,4 @@
-// Split/merge orchestration for sharded data structures (§3.3).
+// Split/merge maintenance for sharded data structures (§3.3).
 //
 // "Quicksand enforces a maximum size based on a target migration latency. If
 // a shard becomes oversized, Quicksand splits it into two shards by invoking
@@ -6,10 +6,11 @@
 // invoking a data-structure-specific merge function to combine the adjacent
 // shards into a single memory proclet."
 //
-// These are the data-structure-specific split/merge functions for
-// ShardedVector and ShardedMap, plus per-structure Maintain passes that the
-// AdaptiveController runs periodically. Splits and merges close the affected
-// shards' invocation gates for their (short) duration; clients that race see
+// SplitShard/MergeShards drive the crash-safe reshape protocol
+// (sharding/reshape.h) for ShardedVector and ShardedMap: each shard picks its
+// own split point, the new shard goes wherever memory is free, and the
+// shard index proclet records the new layout. MaintainShards is the periodic
+// pass the AdaptiveController runs. Clients that race a reshape see
 // kOutOfRange and refresh their routers.
 
 #ifndef QUICKSAND_ADAPT_SHARD_MAINTENANCE_H_
@@ -17,437 +18,133 @@
 
 #include "quicksand/ds/sharded_map.h"
 #include "quicksand/ds/sharded_vector.h"
+#include "quicksand/sharding/reshape.h"
 
 namespace quicksand {
 
-struct ShardMaintenanceStats {
+struct ShardMaintenanceStats : ReshapeStats {
   int64_t splits = 0;
   int64_t merges = 0;
   int64_t failed = 0;
 };
 
-// Retries a heap-charging operation that can fail under transient memory
-// pressure (rollbacks MUST eventually succeed or data would be lost; the
-// bytes were just released on the same machine, so contention is short).
-template <typename Fn>
-Task<Status> RetryUnderPressure(Simulator& sim, Fn attempt, int attempts = 200,
-                                Duration backoff = Duration::Millis(1)) {
-  Status status = attempt();
-  while (!status.ok() && status.code() == StatusCode::kResourceExhausted &&
-         --attempts > 0) {
-    co_await sim.Sleep(backoff);
-    status = attempt();
-  }
-  co_return status;
-}
-
-// RAII helper: reopens gates on scope exit.
-class MaintenanceGuard {
- public:
-  MaintenanceGuard(Runtime& rt, ProcletId id) : rt_(&rt), id_(id) {}
-  MaintenanceGuard(const MaintenanceGuard&) = delete;
-  MaintenanceGuard& operator=(const MaintenanceGuard&) = delete;
-  MaintenanceGuard(MaintenanceGuard&& o) noexcept
-      : rt_(std::exchange(o.rt_, nullptr)), id_(o.id_) {}
-  ~MaintenanceGuard() { Release(); }
-
-  void Release() {
-    if (rt_ != nullptr) {
-      std::exchange(rt_, nullptr)->EndMaintenance(id_);
-    }
-  }
-
- private:
-  Runtime* rt_;
-  ProcletId id_;
-};
-
-// --- ShardedVector ------------------------------------------------------------
-
-// Splits `donor` (described by its index entry) at its element midpoint.
-template <typename T>
-Task<Status> SplitVectorShard(Ctx ctx, ShardedVector<T> vec, ShardInfo donor_info) {
-  using Shard = typename ShardedVector<T>::Shard;
-  Runtime& rt = *ctx.rt;
-
-  auto begin = rt.BeginMaintenance(donor_info.proclet);
-  Status status = co_await std::move(begin);
-  if (!status.ok()) {
-    co_return status;
-  }
-  MaintenanceGuard donor_guard(rt, donor_info.proclet);
-  auto* donor = rt.UnsafeGet<Shard>(donor_info.proclet);
-  QS_CHECK(donor != nullptr);
-  if (donor->count() < 2) {
-    co_return Status::FailedPrecondition("too few elements to split");
-  }
-  const MachineId donor_machine = donor->location();
-  typename Shard::SplitPayload payload = donor->ExtractUpperHalf();
-
-  // New shard, placed wherever memory is free (excluding nothing: best fit).
-  PlacementRequest req;
-  req.heap_bytes = vec.options().shard_base_bytes;
-  auto create = rt.Create<Shard>(ctx, req, payload.first_index);
-  Result<Ref<Shard>> created = co_await std::move(create);
-  if (!created.ok()) {
-    // Roll the elements back into the donor.
-    auto rollback = RetryUnderPressure(rt.sim(), [&] {
-      return donor->AbsorbRightNeighbor(std::move(payload));
-    });
-    const Status rolled_back = co_await std::move(rollback);
-    QS_CHECK_MSG(rolled_back.ok(), "split rollback lost data");
-    co_return created.status();
-  }
-  auto begin_new = rt.BeginMaintenance(created->id());
-  const Status new_gate = co_await std::move(begin_new);
-  QS_CHECK(new_gate.ok());
-  MaintenanceGuard new_guard(rt, created->id());
-  auto* fresh = rt.UnsafeGet<Shard>(created->id());
-  QS_CHECK(fresh != nullptr);
-
-  // Ship the moved elements. If the donor was the growing tail, the new
-  // shard takes over the tail role and must stay unsealed for appends.
-  const bool donor_was_tail = donor_info.end == UINT64_MAX;
-  const int64_t moved_bytes = payload.total_bytes;
-  const uint64_t first_moved = payload.first_index;
-  auto transfer = rt.fabric().Transfer(donor_machine, fresh->location(), moved_bytes);
-  co_await std::move(transfer);
-  Status adopted = fresh->AdoptPayload(std::move(payload), /*seal=*/!donor_was_tail);
-  if (!adopted.ok()) {
-    // Destination ran out of memory: put the elements back where they were.
-    auto rollback = RetryUnderPressure(rt.sim(), [&] {
-      return donor->AbsorbRightNeighbor(std::move(payload));
-    });
-    const Status rolled_back = co_await std::move(rollback);
-    QS_CHECK_MSG(rolled_back.ok(), "split rollback lost data");
-    new_guard.Release();
-    auto destroy = rt.Destroy(ctx, created->id());
-    (void)co_await std::move(destroy);
-    co_return adopted;
-  }
-
-  // Index: shrink donor, add the new shard.
-  ShardInfo shrunk = donor_info;
-  shrunk.end = first_moved;
-  shrunk.count = donor->count();
-  shrunk.bytes = donor->data_bytes();
-  ShardInfo added;
-  added.proclet = created->id();
-  added.begin = first_moved;
-  added.end = donor_info.end;
-  added.count = fresh->count();
-  added.bytes = fresh->data_bytes();
-  auto update = vec.index().Call(ctx,
-                                 [shrunk, added](ShardIndexProclet& p) -> Task<Status> {
-                                   Status s = p.UpdateShard(shrunk);
-                                   if (s.ok()) {
-                                     s = p.AddShard(added);
-                                   }
-                                   co_return s;
-                                 });
-  status = co_await std::move(update);
+// Applies `edit` to the structure's shard index; when it succeeds, records
+// the reshape as trace instant `op` on `shard` (hosted on `where`).
+template <typename DS, typename Edit>
+Task<Status> PublishReshape(Ctx ctx, DS ds, Edit edit, TraceOp op,
+                            MachineId where, ProcletId shard,
+                            int64_t moved_bytes) {
+  auto update = ds.index().Call(ctx, std::move(edit));
+  const Status status = co_await std::move(update);
   if (status.ok()) {
-    if (Tracer* tracer = rt.tracer()) {
-      tracer->Instant(ctx.trace, donor_machine, TraceOp::kSplit,
-                      donor_info.proclet, moved_bytes);
+    if (Tracer* tracer = ctx.rt->tracer()) {
+      tracer->Instant(ctx.trace, where, op, shard, moved_bytes);
     }
   }
   co_return status;
 }
 
-// Merges `right` into `left` (they must be adjacent index entries; both
-// sealed — i.e. neither is the growing tail).
-template <typename T>
-Task<Status> MergeVectorShards(Ctx ctx, ShardedVector<T> vec, ShardInfo left_info,
-                               ShardInfo right_info) {
-  using Shard = typename ShardedVector<T>::Shard;
-  Runtime& rt = *ctx.rt;
+// Splits the shard `donor_info` describes (a ShardedVector's at its element
+// midpoint, a ShardedMap's at its median projection).
+template <typename DS>
+Task<Status> SplitShard(Ctx ctx, DS ds, ShardInfo donor_info,
+                        ReshapeStats* stats = nullptr) {
+  using Shard = typename DS::Shard;
+  PlacementRequest req;
+  req.heap_bytes = ds.options().shard_base_bytes;
+  auto split = ReshapeSplit<Shard>(
+      ctx, donor_info.proclet,
+      [](Shard& donor) { return donor.SplitPoint(); }, req,
+      [ctx, ds, donor_info](Shard& donor, Shard& fresh, int64_t moved_bytes) {
+        ShardInfo shrunk = donor_info;
+        shrunk.end = fresh.range_begin();
+        shrunk.count = donor.count();
+        shrunk.bytes = donor.data_bytes();
+        ShardInfo added;
+        added.proclet = fresh.id();
+        added.begin = fresh.range_begin();
+        added.end = donor_info.end;
+        added.count = fresh.count();
+        added.bytes = fresh.data_bytes();
+        return PublishReshape(
+            ctx, ds,
+            [shrunk, added](ShardIndexProclet& p) -> Task<Status> {
+              Status s = p.UpdateShard(shrunk);
+              if (s.ok()) {
+                s = p.AddShard(added);
+              }
+              co_return s;
+            },
+            TraceOp::kSplit, donor.location(), donor_info.proclet,
+            moved_bytes);
+      },
+      stats);
+  co_return co_await std::move(split);
+}
+
+// Merges `right_info`'s shard into `left_info`'s (adjacent index entries).
+template <typename DS>
+Task<Status> MergeShards(Ctx ctx, DS ds, ShardInfo left_info,
+                         ShardInfo right_info, ReshapeStats* stats = nullptr) {
+  using Shard = typename DS::Shard;
   if (left_info.end != right_info.begin) {
     co_return Status::InvalidArgument("shards are not adjacent");
   }
-
-  auto begin_left = rt.BeginMaintenance(left_info.proclet);
-  Status status = co_await std::move(begin_left);
-  if (!status.ok()) {
-    co_return status;
-  }
-  MaintenanceGuard left_guard(rt, left_info.proclet);
-  auto begin_right = rt.BeginMaintenance(right_info.proclet);
-  status = co_await std::move(begin_right);
-  if (!status.ok()) {
-    co_return status;
-  }
-  MaintenanceGuard right_guard(rt, right_info.proclet);
-
-  auto* left = rt.UnsafeGet<Shard>(left_info.proclet);
-  auto* right = rt.UnsafeGet<Shard>(right_info.proclet);
-  QS_CHECK(left != nullptr && right != nullptr);
-  if (!right->sealed() || left->end_index() != right->base()) {
-    co_return Status::FailedPrecondition("shards not mergeable");
-  }
-
-  const MachineId right_machine = right->location();
-  typename Shard::SplitPayload payload = right->ExtractAll();
-  const int64_t moved_bytes = payload.total_bytes;
-  auto transfer = rt.fabric().Transfer(right_machine, left->location(), moved_bytes);
-  co_await std::move(transfer);
-  Status absorbed = left->AbsorbRightNeighbor(std::move(payload));
-  if (!absorbed.ok()) {
-    // Left's machine ran out of memory: restore the right shard.
-    auto rollback = RetryUnderPressure(rt.sim(), [&] {
-      return right->AdoptPayload(std::move(payload));
-    });
-    const Status rolled_back = co_await std::move(rollback);
-    QS_CHECK_MSG(rolled_back.ok(), "merge rollback lost data");
-    co_return absorbed;
-  }
-
-  ShardInfo widened = left_info;
-  widened.end = right_info.end;
-  widened.count = left->count();
-  widened.bytes = left->data_bytes();
-  const ProcletId dead = right_info.proclet;
-  auto update = vec.index().Call(ctx,
-                                 [widened, dead](ShardIndexProclet& p) -> Task<Status> {
-                                   Status s = p.RemoveShard(dead);
-                                   if (s.ok()) {
-                                     s = p.UpdateShard(widened);
-                                   }
-                                   co_return s;
-                                 });
-  status = co_await std::move(update);
-  right_guard.Release();
-  if (status.ok()) {
-    if (Tracer* tracer = rt.tracer()) {
-      tracer->Instant(ctx.trace, left->location(), TraceOp::kMerge,
-                      left_info.proclet, moved_bytes);
-    }
-    auto destroy = rt.Destroy(ctx, dead);
-    (void)co_await std::move(destroy);
-  }
-  co_return status;
+  auto merge = ReshapeMerge<Shard>(
+      ctx, left_info.proclet, right_info.proclet,
+      [ctx, ds, left_info, right_info](Shard& left, int64_t moved_bytes) {
+        ShardInfo widened = left_info;
+        widened.end = right_info.end;
+        widened.count = left.count();
+        widened.bytes = left.data_bytes();
+        const ProcletId dead = right_info.proclet;
+        return PublishReshape(
+            ctx, ds,
+            [widened, dead](ShardIndexProclet& p) -> Task<Status> {
+              Status s = p.RemoveShard(dead);
+              if (s.ok()) {
+                s = p.UpdateShard(widened);
+              }
+              co_return s;
+            },
+            TraceOp::kMerge, left.location(), left_info.proclet, moved_bytes);
+      },
+      stats);
+  co_return co_await std::move(merge);
 }
 
-// One maintenance pass: split oversized shards, merge adjacent undersized
-// sealed shards.
-template <typename T>
-Task<> MaintainShardedVector(Ctx ctx, ShardedVector<T> vec, int64_t max_bytes,
-                             int64_t min_bytes, ShardMaintenanceStats* stats = nullptr) {
-  using Shard = typename ShardedVector<T>::Shard;
+// A ShardedVector's growing tail is never merged away: appends would chase
+// it onto its neighbor. Map shards never grow at one end.
+template <typename Shard>
+bool GrowingTail(const Shard& shard) {
+  if constexpr (requires { shard.sealed(); }) {
+    return !shard.sealed();
+  } else {
+    return false;
+  }
+}
+
+// One maintenance pass over a ShardedVector or ShardedMap: split oversized
+// shards, merge adjacent undersized ones.
+template <typename DS>
+Task<> MaintainShards(Ctx ctx, DS ds, int64_t max_bytes, int64_t min_bytes,
+                      ShardMaintenanceStats* stats = nullptr) {
+  using Shard = typename DS::Shard;
   Runtime& rt = *ctx.rt;
-  co_await vec.router().Refresh(ctx);
-  const std::vector<ShardInfo> shards = vec.router().cached_shards();
+  co_await ds.router().Refresh(ctx);
+  const std::vector<ShardInfo> shards = ds.router().cached_shards();
 
   for (size_t i = 0; i < shards.size(); ++i) {
     auto* shard = rt.UnsafeGet<Shard>(shards[i].proclet);
     if (shard == nullptr || shard->gate_closed()) {
       continue;
     }
-    // Durable shards are pinned: split/merge mutates them via UnsafeGet,
-    // bypassing the mutation log, and a pre-split checkpoint restored after
-    // a split would resurrect an overlapping range.
+    // Durable shards are pinned (see ReshapeSplit); skip them up front.
     if (shard->durable()) {
       continue;
     }
     if (shard->data_bytes() > max_bytes && shard->count() >= 2) {
-      auto split = SplitVectorShard(ctx, vec, shards[i]);
-      Status s = co_await std::move(split);
-      if (stats != nullptr) {
-        s.ok() ? ++stats->splits : ++stats->failed;
-      }
-      continue;
-    }
-    // Merge with the right neighbor when both are sealed and small.
-    if (i + 1 < shards.size() && shards[i].end == shards[i + 1].begin) {
-      auto* next = rt.UnsafeGet<Shard>(shards[i + 1].proclet);
-      if (next != nullptr && !next->gate_closed() && !next->durable() &&
-          shard->sealed() &&
-          next->sealed() && shard->data_bytes() < min_bytes &&
-          next->data_bytes() < min_bytes &&
-          shard->data_bytes() + next->data_bytes() <= max_bytes) {
-        auto merge = MergeVectorShards(ctx, vec, shards[i], shards[i + 1]);
-        Status s = co_await std::move(merge);
-        if (stats != nullptr) {
-          s.ok() ? ++stats->merges : ++stats->failed;
-        }
-      }
-    }
-  }
-}
-
-// --- ShardedMap ---------------------------------------------------------------
-
-template <typename K, typename V, typename Proj>
-Task<Status> SplitMapShard(Ctx ctx, ShardedMap<K, V, Proj> map, ShardInfo donor_info) {
-  using Shard = typename ShardedMap<K, V, Proj>::Shard;
-  Runtime& rt = *ctx.rt;
-
-  auto begin = rt.BeginMaintenance(donor_info.proclet);
-  Status status = co_await std::move(begin);
-  if (!status.ok()) {
-    co_return status;
-  }
-  MaintenanceGuard donor_guard(rt, donor_info.proclet);
-  auto* donor = rt.UnsafeGet<Shard>(donor_info.proclet);
-  QS_CHECK(donor != nullptr);
-  const MachineId donor_machine = donor->location();
-  Result<typename Shard::SplitPayload> extracted = donor->ExtractUpperHalf();
-  if (!extracted.ok()) {
-    co_return extracted.status();
-  }
-  typename Shard::SplitPayload payload = std::move(*extracted);
-
-  PlacementRequest req;
-  req.heap_bytes = map.options().shard_base_bytes;
-  auto create = rt.Create<Shard>(ctx, req, payload.split_point, payload.range_end);
-  Result<Ref<Shard>> created = co_await std::move(create);
-  if (!created.ok()) {
-    auto rollback = RetryUnderPressure(rt.sim(), [&] {
-      return donor->AbsorbRightNeighbor(std::move(payload));
-    });
-    const Status rolled_back = co_await std::move(rollback);
-    QS_CHECK_MSG(rolled_back.ok(), "split rollback lost data");
-    co_return created.status();
-  }
-  auto begin_new = rt.BeginMaintenance(created->id());
-  const Status new_gate = co_await std::move(begin_new);
-  QS_CHECK(new_gate.ok());
-  MaintenanceGuard new_guard(rt, created->id());
-  auto* fresh = rt.UnsafeGet<Shard>(created->id());
-  QS_CHECK(fresh != nullptr);
-
-  const int64_t moved_bytes = payload.total_bytes;
-  const uint64_t split_point = payload.split_point;
-  auto transfer = rt.fabric().Transfer(donor_machine, fresh->location(), moved_bytes);
-  co_await std::move(transfer);
-  Status adopted = fresh->AdoptPayload(std::move(payload));
-  if (!adopted.ok()) {
-    auto rollback = RetryUnderPressure(rt.sim(), [&] {
-      return donor->AbsorbRightNeighbor(std::move(payload));
-    });
-    const Status rolled_back = co_await std::move(rollback);
-    QS_CHECK_MSG(rolled_back.ok(), "split rollback lost data");
-    new_guard.Release();
-    auto destroy = rt.Destroy(ctx, created->id());
-    (void)co_await std::move(destroy);
-    co_return adopted;
-  }
-
-  ShardInfo shrunk = donor_info;
-  shrunk.end = split_point;
-  shrunk.count = donor->count();
-  shrunk.bytes = donor->data_bytes();
-  ShardInfo added;
-  added.proclet = created->id();
-  added.begin = split_point;
-  added.end = donor_info.end;
-  added.count = fresh->count();
-  added.bytes = fresh->data_bytes();
-  auto update = map.index().Call(ctx,
-                                 [shrunk, added](ShardIndexProclet& p) -> Task<Status> {
-                                   Status s = p.UpdateShard(shrunk);
-                                   if (s.ok()) {
-                                     s = p.AddShard(added);
-                                   }
-                                   co_return s;
-                                 });
-  status = co_await std::move(update);
-  if (status.ok()) {
-    if (Tracer* tracer = rt.tracer()) {
-      tracer->Instant(ctx.trace, donor_machine, TraceOp::kSplit,
-                      donor_info.proclet, moved_bytes);
-    }
-  }
-  co_return status;
-}
-
-template <typename K, typename V, typename Proj>
-Task<Status> MergeMapShards(Ctx ctx, ShardedMap<K, V, Proj> map, ShardInfo left_info,
-                            ShardInfo right_info) {
-  using Shard = typename ShardedMap<K, V, Proj>::Shard;
-  Runtime& rt = *ctx.rt;
-  if (left_info.end != right_info.begin) {
-    co_return Status::InvalidArgument("shards are not adjacent");
-  }
-  auto begin_left = rt.BeginMaintenance(left_info.proclet);
-  Status status = co_await std::move(begin_left);
-  if (!status.ok()) {
-    co_return status;
-  }
-  MaintenanceGuard left_guard(rt, left_info.proclet);
-  auto begin_right = rt.BeginMaintenance(right_info.proclet);
-  status = co_await std::move(begin_right);
-  if (!status.ok()) {
-    co_return status;
-  }
-  MaintenanceGuard right_guard(rt, right_info.proclet);
-
-  auto* left = rt.UnsafeGet<Shard>(left_info.proclet);
-  auto* right = rt.UnsafeGet<Shard>(right_info.proclet);
-  QS_CHECK(left != nullptr && right != nullptr);
-  if (left->end() != right->begin()) {
-    co_return Status::FailedPrecondition("shards not contiguous");
-  }
-  const MachineId right_machine = right->location();
-  typename Shard::SplitPayload payload = right->ExtractAll();
-  const int64_t moved_bytes = payload.total_bytes;
-  auto transfer = rt.fabric().Transfer(right_machine, left->location(), moved_bytes);
-  co_await std::move(transfer);
-  Status absorbed = left->AbsorbRightNeighbor(std::move(payload));
-  if (!absorbed.ok()) {
-    auto rollback = RetryUnderPressure(rt.sim(), [&] {
-      return right->AdoptPayload(std::move(payload));
-    });
-    const Status rolled_back = co_await std::move(rollback);
-    QS_CHECK_MSG(rolled_back.ok(), "merge rollback lost data");
-    co_return absorbed;
-  }
-
-  ShardInfo widened = left_info;
-  widened.end = right_info.end;
-  widened.count = left->count();
-  widened.bytes = left->data_bytes();
-  const ProcletId dead = right_info.proclet;
-  auto update = map.index().Call(ctx,
-                                 [widened, dead](ShardIndexProclet& p) -> Task<Status> {
-                                   Status s = p.RemoveShard(dead);
-                                   if (s.ok()) {
-                                     s = p.UpdateShard(widened);
-                                   }
-                                   co_return s;
-                                 });
-  status = co_await std::move(update);
-  right_guard.Release();
-  if (status.ok()) {
-    if (Tracer* tracer = rt.tracer()) {
-      tracer->Instant(ctx.trace, left->location(), TraceOp::kMerge,
-                      left_info.proclet, moved_bytes);
-    }
-    auto destroy = rt.Destroy(ctx, dead);
-    (void)co_await std::move(destroy);
-  }
-  co_return status;
-}
-
-template <typename K, typename V, typename Proj>
-Task<> MaintainShardedMap(Ctx ctx, ShardedMap<K, V, Proj> map, int64_t max_bytes,
-                          int64_t min_bytes, ShardMaintenanceStats* stats = nullptr) {
-  using Shard = typename ShardedMap<K, V, Proj>::Shard;
-  Runtime& rt = *ctx.rt;
-  co_await map.router().Refresh(ctx);
-  const std::vector<ShardInfo> shards = map.router().cached_shards();
-
-  for (size_t i = 0; i < shards.size(); ++i) {
-    auto* shard = rt.UnsafeGet<Shard>(shards[i].proclet);
-    if (shard == nullptr || shard->gate_closed()) {
-      continue;
-    }
-    // Durable shards are pinned; see MaintainShardedVector.
-    if (shard->durable()) {
-      continue;
-    }
-    if (shard->data_bytes() > max_bytes && shard->count() >= 2) {
-      auto split = SplitMapShard(ctx, map, shards[i]);
+      auto split = SplitShard(ctx, ds, shards[i], stats);
       Status s = co_await std::move(split);
       if (stats != nullptr) {
         s.ok() ? ++stats->splits : ++stats->failed;
@@ -457,9 +154,10 @@ Task<> MaintainShardedMap(Ctx ctx, ShardedMap<K, V, Proj> map, int64_t max_bytes
     if (i + 1 < shards.size() && shards[i].end == shards[i + 1].begin) {
       auto* next = rt.UnsafeGet<Shard>(shards[i + 1].proclet);
       if (next != nullptr && !next->gate_closed() && !next->durable() &&
+          !GrowingTail(*shard) && !GrowingTail(*next) &&
           shard->data_bytes() < min_bytes && next->data_bytes() < min_bytes &&
           shard->data_bytes() + next->data_bytes() <= max_bytes) {
-        auto merge = MergeMapShards(ctx, map, shards[i], shards[i + 1]);
+        auto merge = MergeShards(ctx, ds, shards[i], shards[i + 1], stats);
         Status s = co_await std::move(merge);
         if (stats != nullptr) {
           s.ok() ? ++stats->merges : ++stats->failed;

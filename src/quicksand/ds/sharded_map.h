@@ -24,10 +24,8 @@
 #include "quicksand/common/bytes.h"
 #include "quicksand/common/status.h"
 #include "quicksand/common/wire.h"
-#include "quicksand/durability/checkpoint_manager.h"
-#include "quicksand/durability/replication.h"
 #include "quicksand/runtime/runtime.h"
-#include "quicksand/sharding/shard_index.h"
+#include "quicksand/sharding/sharded_handle.h"
 
 namespace quicksand {
 
@@ -48,8 +46,8 @@ class MapShardProclet : public ProcletBase {
   explicit MapShardProclet(const ProcletInit& init)
       : MapShardProclet(init, 0, 0) {}
 
-  uint64_t begin() const { return begin_; }
-  uint64_t end() const { return end_; }
+  uint64_t range_begin() const { return begin_; }
+  uint64_t range_end() const { return end_; }
   int64_t count() const { return static_cast<int64_t>(entries_.size()); }
   int64_t data_bytes() const { return data_bytes_; }
 
@@ -139,26 +137,25 @@ class MapShardProclet : public ProcletBase {
     return out;
   }
 
-  // --- Maintenance (gate must be closed) -------------------------------------
+  // --- Split/merge hooks (gate must be closed; see sharding/reshape.h) ------
 
+  // The entries projecting into [range_begin, range_end).
   struct SplitPayload {
-    uint64_t split_point;  // new shard owns [split_point, old end)
+    uint64_t range_begin;
     uint64_t range_end;
     std::vector<std::tuple<K, V, int64_t>> entries;  // key, value, bytes
     int64_t total_bytes;
   };
 
-  // Splits at the median projection. Fails if all entries share one
-  // projection (nothing to split on).
-  Result<SplitPayload> ExtractUpperHalf() {
-    QS_CHECK_MSG(gate_closed(), "ExtractUpperHalf requires a closed gate");
+  // The median projection. Fails if all entries share one projection
+  // (nothing to split on).
+  Result<uint64_t> SplitPoint() const {
     if (entries_.size() < 2) {
       return Status::FailedPrecondition("too few entries to split");
     }
     auto mid = entries_.begin();
     std::advance(mid, static_cast<ptrdiff_t>(entries_.size() / 2));
-    uint64_t split_point = mid->first.proj;
-    if (split_point == begin_) {
+    if (mid->first.proj == begin_) {
       // Skip forward to the first projection > begin_.
       while (mid != entries_.end() && mid->first.proj == begin_) {
         ++mid;
@@ -166,13 +163,19 @@ class MapShardProclet : public ProcletBase {
       if (mid == entries_.end()) {
         return Status::FailedPrecondition("all entries share one projection");
       }
-      split_point = mid->first.proj;
     }
+    return mid->first.proj;
+  }
+
+  // Removes the entries projecting into [point, end) for a split; this
+  // shard shrinks to [begin, point).
+  SplitPayload ExtractUpperRange(uint64_t point) {
+    QS_CHECK_MSG(gate_closed(), "ExtractUpperRange requires a closed gate");
     SplitPayload payload;
-    payload.split_point = split_point;
+    payload.range_begin = point;
     payload.range_end = end_;
     payload.total_bytes = 0;
-    auto first_moved = entries_.lower_bound(EntryKey{split_point, K{}});
+    auto first_moved = entries_.lower_bound(EntryKey{point, K{}});
     for (auto it = first_moved; it != entries_.end(); ++it) {
       payload.total_bytes += it->second.bytes;
       payload.entries.emplace_back(it->first.key, std::move(it->second.value),
@@ -181,15 +184,16 @@ class MapShardProclet : public ProcletBase {
     entries_.erase(first_moved, entries_.end());
     ReleaseHeap(payload.total_bytes);
     data_bytes_ -= payload.total_bytes;
-    end_ = split_point;
+    end_ = point;
     return payload;
   }
 
-  // Installs a split payload into this (fresh) shard. On failure the payload
-  // is left untouched so the caller can roll it back into the donor.
+  // Installs a payload into this empty shard of the same range (a new split
+  // half, or a merge donor taking its entries back). On failure the payload
+  // is left untouched so the caller can roll it back.
   Status AdoptPayload(SplitPayload&& payload) {
     QS_CHECK_MSG(gate_closed(), "AdoptPayload requires a closed gate");
-    QS_CHECK(payload.split_point == begin_ && payload.range_end == end_);
+    QS_CHECK(payload.range_begin == begin_ && payload.range_end == end_);
     if (!TryChargeHeap(payload.total_bytes)) {
       return Status::ResourceExhausted("host machine out of memory");
     }
@@ -209,7 +213,7 @@ class MapShardProclet : public ProcletBase {
   SplitPayload ExtractAll() {
     QS_CHECK_MSG(gate_closed(), "ExtractAll requires a closed gate");
     SplitPayload payload;
-    payload.split_point = begin_;
+    payload.range_begin = begin_;
     payload.range_end = end_;
     payload.total_bytes = data_bytes_;
     for (auto& [ekey, entry] : entries_) {
@@ -222,12 +226,11 @@ class MapShardProclet : public ProcletBase {
     return payload;
   }
 
-  // Absorbs the right neighbor's payload and takes over its range. On
-  // failure the payload is left untouched (the caller re-adopts it into the
-  // donor).
+  // Absorbs the right neighbor's payload (a merge, or a split rollback) and
+  // takes over its range. On failure the payload is left untouched.
   Status AbsorbRightNeighbor(SplitPayload&& payload) {
     QS_CHECK_MSG(gate_closed(), "AbsorbRightNeighbor requires a closed gate");
-    QS_CHECK(payload.split_point == end_);
+    QS_CHECK(payload.range_begin == end_);
     if (!TryChargeHeap(payload.total_bytes)) {
       return Status::ResourceExhausted("host machine out of memory");
     }
@@ -301,18 +304,10 @@ class MapShardProclet : public ProcletBase {
 };
 
 template <typename K, typename V, typename Proj = DefaultShardProjection<K>>
-class ShardedMap {
+class ShardedMap : public ShardedHandle {
  public:
   using Shard = MapShardProclet<K, V, Proj>;
-
-  struct Options {
-    int64_t max_shard_bytes = 16 * kMiB;
-    int64_t shard_base_bytes = 4096;
-    // Durability (optional; not owned) — see ShardedVector::Options.
-    ReplicationManager* replication = nullptr;
-    CheckpointManager* checkpoints = nullptr;
-    Duration restore_stall = Duration::Millis(50);
-  };
+  using Options = ShardedOptions;
 
   ShardedMap() = default;
 
@@ -360,10 +355,6 @@ class ShardedMap {
     }
     co_return map;
   }
-
-  Ref<ShardIndexProclet> index() const { return index_; }
-  ShardRouter& router() { return router_; }
-  const Options& options() const { return options_; }
 
   Task<Status> Put(Ctx ctx, K key, V value) {
     const uint64_t proj = Proj{}(key);
@@ -581,83 +572,12 @@ class ShardedMap {
   }
 
  private:
-  static constexpr int kMaxAttempts = 16;
-
   // Unrecoverable loss: report the projection range whose entries died with
   // the machine instead of retrying forever.
   static std::string LostShardMessage(const ShardInfo& info) {
     return "keys projecting to [" + std::to_string(info.begin) + ", " +
            std::to_string(info.end) + ") lost to a machine failure";
   }
-
-  // --- Durability helpers (see ShardedVector for commentary) ----------------
-
-  template <typename P>
-  Task<Status> ProtectNew(Ctx ctx, ProcletId id) {
-    if (options_.replication != nullptr) {
-      co_return co_await options_.replication->template ReplicateAs<P>(ctx, id);
-    }
-    if (options_.checkpoints != nullptr) {
-      co_return co_await options_.checkpoints->template ProtectAs<P>(ctx, id);
-    }
-    co_return Status::Ok();
-  }
-
-  Task<bool> AwaitShardRestore(Ctx ctx, ProcletId id) {
-    if (!ctx.rt->recovery_enabled()) {
-      co_return false;
-    }
-    co_return co_await ctx.rt->AwaitRestore(id, options_.restore_stall);
-  }
-
-  Task<Status> RefreshSafe(Ctx ctx) {
-    for (int i = 0; i < kMaxAttempts; ++i) {
-      bool index_lost = false;
-      try {
-        co_await router_.Refresh(ctx);
-      } catch (const ProcletGoneError&) {
-        co_return Status::NotFound("shard index destroyed");
-      } catch (const ProcletLostError&) {
-        router_.Invalidate();
-        index_lost = true;
-      }
-      if (!index_lost) {
-        co_return Status::Ok();
-      }
-      const bool restored = co_await AwaitShardRestore(ctx, index_.id());
-      if (!restored) {
-        co_return Status::DataLoss("shard index lost to a machine failure");
-      }
-    }
-    co_return Status::Aborted("too many index refresh retries");
-  }
-
-  Task<Result<ShardInfo>> RouteSafe(Ctx ctx, uint64_t key) {
-    for (int i = 0; i < kMaxAttempts; ++i) {
-      std::optional<Result<ShardInfo>> routed;
-      bool index_lost = false;
-      try {
-        routed.emplace(co_await router_.Route(ctx, key));
-      } catch (const ProcletGoneError&) {
-        co_return Status::NotFound("shard index destroyed");
-      } catch (const ProcletLostError&) {
-        router_.Invalidate();
-        index_lost = true;
-      }
-      if (!index_lost) {
-        co_return std::move(*routed);
-      }
-      const bool restored = co_await AwaitShardRestore(ctx, index_.id());
-      if (!restored) {
-        co_return Status::DataLoss("shard index lost to a machine failure");
-      }
-    }
-    co_return Status::Aborted("too many route retries");
-  }
-
-  Ref<ShardIndexProclet> index_;
-  ShardRouter router_;
-  Options options_;
 };
 
 // ShardedSet<K>: membership-only wrapper over ShardedMap.

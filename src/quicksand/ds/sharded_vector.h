@@ -23,13 +23,10 @@
 #include <utility>
 #include <vector>
 
-#include "quicksand/common/bytes.h"
 #include "quicksand/common/status.h"
 #include "quicksand/common/wire.h"
-#include "quicksand/durability/checkpoint_manager.h"
-#include "quicksand/durability/replication.h"
 #include "quicksand/runtime/runtime.h"
-#include "quicksand/sharding/shard_index.h"
+#include "quicksand/sharding/sharded_handle.h"
 
 namespace quicksand {
 
@@ -44,13 +41,18 @@ class VectorShardProclet : public ProcletBase {
     int64_t shard_count;
   };
 
-  VectorShardProclet(const ProcletInit& init, uint64_t base)
-      : ProcletBase(init), base_(base) {}
+  // A shard owning indices [base, end). end == UINT64_MAX marks the growing
+  // tail, which accepts appends; any other end is a sealed range.
+  VectorShardProclet(const ProcletInit& init, uint64_t base,
+                     uint64_t end = UINT64_MAX)
+      : ProcletBase(init), base_(base), sealed_(end != UINT64_MAX) {}
   // Restore/backup factory form; RestoreState supplies base_ and contents.
   explicit VectorShardProclet(const ProcletInit& init)
       : VectorShardProclet(init, 0) {}
 
-  uint64_t base() const { return base_; }
+  uint64_t range_begin() const { return base_; }
+  // The index's convention: the tail's range runs to UINT64_MAX.
+  uint64_t range_end() const { return sealed_ ? end_index() : UINT64_MAX; }
   uint64_t end_index() const { return base_ + elements_.size(); }
   int64_t count() const { return static_cast<int64_t>(elements_.size()); }
   int64_t data_bytes() const { return data_bytes_; }
@@ -144,22 +146,35 @@ class VectorShardProclet : public ProcletBase {
                           elements_.begin() + static_cast<ptrdiff_t>(first + n));
   }
 
-  // --- Maintenance (gate must be closed) -------------------------------------
+  // --- Split/merge hooks (gate must be closed; see sharding/reshape.h) ------
 
-  // Removes the upper half of the elements (for a split); the caller moves
-  // them into a new shard. Returns {first_moved_index, elements, bytes}.
+  // Elements [range_begin, range_end) of a shard, in index order. A payload
+  // ending at UINT64_MAX carries the growing tail role with it.
   struct SplitPayload {
-    uint64_t first_index;
+    uint64_t range_begin;
+    uint64_t range_end;
     std::vector<T> elements;
     std::vector<int64_t> element_bytes;
     int64_t total_bytes;
   };
 
-  SplitPayload ExtractUpperHalf() {
-    QS_CHECK_MSG(gate_closed(), "ExtractUpperHalf requires a closed gate");
-    const size_t keep = elements_.size() / 2;
+  // The element midpoint: the lower half stays, the upper half moves.
+  Result<uint64_t> SplitPoint() const {
+    if (elements_.size() < 2) {
+      return Status::FailedPrecondition("too few elements to split");
+    }
+    return base_ + elements_.size() / 2;
+  }
+
+  // Removes [point, end) for a split; the caller moves it into a new shard.
+  // A split shard no longer grows in place, so this one seals.
+  SplitPayload ExtractUpperRange(uint64_t point) {
+    QS_CHECK_MSG(gate_closed(), "ExtractUpperRange requires a closed gate");
+    QS_CHECK(point > base_ && point < end_index());
+    const size_t keep = static_cast<size_t>(point - base_);
     SplitPayload payload;
-    payload.first_index = base_ + keep;
+    payload.range_begin = point;
+    payload.range_end = range_end();
     payload.total_bytes = 0;
     payload.elements.assign(std::make_move_iterator(elements_.begin() +
                                                     static_cast<ptrdiff_t>(keep)),
@@ -173,33 +188,34 @@ class VectorShardProclet : public ProcletBase {
     }
     data_bytes_ -= payload.total_bytes;
     ReleaseHeap(payload.total_bytes);
-    sealed_ = true;  // a split shard no longer grows in place
+    sealed_ = true;
     return payload;
   }
 
-  // Installs elements extracted from a donor (this shard must be empty).
-  // `seal` is false when this shard takes over the growing tail range.
-  // On failure the payload is left untouched so the caller can roll it back
-  // into the donor — losing it would lose data.
-  Status AdoptPayload(SplitPayload&& payload, bool seal = true) {
+  // Installs a payload into this empty shard (a new split half, or a merge
+  // donor taking its elements back), tail role included. On failure the
+  // payload is left untouched so the caller can roll it back — losing it
+  // would lose data.
+  Status AdoptPayload(SplitPayload&& payload) {
     QS_CHECK_MSG(gate_closed(), "AdoptPayload requires a closed gate");
     QS_CHECK(elements_.empty());
-    QS_CHECK(payload.first_index == base_);
+    QS_CHECK(payload.range_begin == base_);
     if (!TryChargeHeap(payload.total_bytes)) {
       return Status::ResourceExhausted("host machine out of memory");
     }
     data_bytes_ = payload.total_bytes;
     elements_ = std::move(payload.elements);
     element_bytes_ = std::move(payload.element_bytes);
-    sealed_ = seal;
+    sealed_ = payload.range_end != UINT64_MAX;
     return Status::Ok();
   }
 
-  // Appends a right-neighbor's elements (for a merge). Pre: `payload` starts
-  // exactly at end_index(). On failure the payload is left untouched.
+  // Appends the right neighbor's elements (a merge, or a split rollback),
+  // taking over its tail role. Pre: `payload` starts exactly at
+  // end_index(). On failure the payload is left untouched.
   Status AbsorbRightNeighbor(SplitPayload&& payload) {
     QS_CHECK_MSG(gate_closed(), "AbsorbRightNeighbor requires a closed gate");
-    QS_CHECK(payload.first_index == end_index());
+    QS_CHECK(payload.range_begin == end_index());
     if (!TryChargeHeap(payload.total_bytes)) {
       return Status::ResourceExhausted("host machine out of memory");
     }
@@ -209,6 +225,7 @@ class VectorShardProclet : public ProcletBase {
     }
     element_bytes_.insert(element_bytes_.end(), payload.element_bytes.begin(),
                           payload.element_bytes.end());
+    sealed_ = payload.range_end != UINT64_MAX;
     return Status::Ok();
   }
 
@@ -216,7 +233,8 @@ class VectorShardProclet : public ProcletBase {
   SplitPayload ExtractAll() {
     QS_CHECK_MSG(gate_closed(), "ExtractAll requires a closed gate");
     SplitPayload payload;
-    payload.first_index = base_;
+    payload.range_begin = base_;
+    payload.range_end = range_end();
     payload.elements = std::move(elements_);
     payload.element_bytes = std::move(element_bytes_);
     payload.total_bytes = data_bytes_;
@@ -313,24 +331,10 @@ class VectorShardProclet : public ProcletBase {
 };
 
 template <typename T>
-class ShardedVector {
+class ShardedVector : public ShardedHandle {
  public:
   using Shard = VectorShardProclet<T>;
-
-  struct Options {
-    // Shard size cap, derived from the target migration latency (§3.3).
-    int64_t max_shard_bytes = 16 * kMiB;
-    // Initial heap charge per shard proclet (metadata).
-    int64_t shard_base_bytes = 4096;
-    // Durability (optional; not owned). When replication is set every new
-    // shard and the index get a primary-backup replica; otherwise, when
-    // checkpoints is set, they get periodic checkpoints. Either way a lost
-    // shard becomes a bounded stall (restore_stall) while the
-    // RecoveryCoordinator restores it, instead of an immediate DataLoss.
-    ReplicationManager* replication = nullptr;
-    CheckpointManager* checkpoints = nullptr;
-    Duration restore_stall = Duration::Millis(50);
-  };
+  using Options = ShardedOptions;
 
   ShardedVector() = default;
 
@@ -358,10 +362,6 @@ class ShardedVector {
     }
     co_return vec;
   }
-
-  Ref<ShardIndexProclet> index() const { return index_; }
-  ShardRouter& router() { return router_; }
-  const Options& options() const { return options_; }
 
   // Appends an element; returns its index.
   Task<Result<uint64_t>> PushBack(Ctx ctx, T value) {
@@ -617,8 +617,6 @@ class ShardedVector {
   }
 
  private:
-  static constexpr int kMaxAttempts = 16;
-
   // Unrecoverable loss: report the exact index range that died with the
   // machine instead of retrying forever.
   static std::string LostShardMessage(const ShardInfo& info) {
@@ -751,84 +749,6 @@ class ShardedVector {
     }
     co_return co_await ProtectNew<Shard>(ctx, shard->id());
   }
-
-  // --- Durability helpers ---------------------------------------------------
-
-  // Registers a freshly created proclet with the configured durability
-  // service (replication preferred over checkpoints when both are set).
-  template <typename P>
-  Task<Status> ProtectNew(Ctx ctx, ProcletId id) {
-    if (options_.replication != nullptr) {
-      co_return co_await options_.replication->template ReplicateAs<P>(ctx, id);
-    }
-    if (options_.checkpoints != nullptr) {
-      co_return co_await options_.checkpoints->template ProtectAs<P>(ctx, id);
-    }
-    co_return Status::Ok();
-  }
-
-  // Bounded stall while the recovery subsystem restores a lost proclet;
-  // false when recovery is off or the deadline passes (the caller reports
-  // DataLoss exactly as before the durability subsystem existed).
-  Task<bool> AwaitShardRestore(Ctx ctx, ProcletId id) {
-    if (!ctx.rt->recovery_enabled()) {
-      co_return false;
-    }
-    co_return co_await ctx.rt->AwaitRestore(id, options_.restore_stall);
-  }
-
-  // Router refresh that survives a lost index proclet: stalls for the
-  // restore, then re-pulls. DataLoss only when recovery cannot bring the
-  // index back.
-  Task<Status> RefreshSafe(Ctx ctx) {
-    for (int i = 0; i < kMaxAttempts; ++i) {
-      bool index_lost = false;
-      try {
-        co_await router_.Refresh(ctx);
-      } catch (const ProcletGoneError&) {
-        co_return Status::NotFound("shard index destroyed");
-      } catch (const ProcletLostError&) {
-        router_.Invalidate();
-        index_lost = true;
-      }
-      if (!index_lost) {
-        co_return Status::Ok();
-      }
-      const bool restored = co_await AwaitShardRestore(ctx, index_.id());
-      if (!restored) {
-        co_return Status::DataLoss("shard index lost to a machine failure");
-      }
-    }
-    co_return Status::Aborted("too many index refresh retries");
-  }
-
-  // Route through the cache with the same index-loss handling.
-  Task<Result<ShardInfo>> RouteSafe(Ctx ctx, uint64_t key) {
-    for (int i = 0; i < kMaxAttempts; ++i) {
-      std::optional<Result<ShardInfo>> routed;
-      bool index_lost = false;
-      try {
-        routed.emplace(co_await router_.Route(ctx, key));
-      } catch (const ProcletGoneError&) {
-        co_return Status::NotFound("shard index destroyed");
-      } catch (const ProcletLostError&) {
-        router_.Invalidate();
-        index_lost = true;
-      }
-      if (!index_lost) {
-        co_return std::move(*routed);
-      }
-      const bool restored = co_await AwaitShardRestore(ctx, index_.id());
-      if (!restored) {
-        co_return Status::DataLoss("shard index lost to a machine failure");
-      }
-    }
-    co_return Status::Aborted("too many route retries");
-  }
-
-  Ref<ShardIndexProclet> index_;
-  ShardRouter router_;
-  Options options_;
 };
 
 }  // namespace quicksand

@@ -20,11 +20,10 @@
 // refuses keys it does not own (wrong_shard on Put, OutOfRange on Get)
 // so a client racing a split/merge re-routes instead of writing into the
 // wrong shard. ExtractUpperRange / ExtractAll / AdoptPayload /
-// AbsorbRightNeighbor are the data-structure-specific split/merge hooks
-// the autoscaler's reshape executor drives; the payload carries the
-// donor's full FenceGuard so dedup knowledge survives reshaping (a retry
-// of an acked-but-lost-ack write must dedup on whichever shard owns the
-// key NOW).
+// AbsorbRightNeighbor are the split/merge hooks the reshape protocol
+// (sharding/reshape.h) drives; the payload carries the donor's full
+// FenceGuard so dedup knowledge survives reshaping (a retry of an
+// acked-but-lost-ack write must dedup on whichever shard owns the key NOW).
 //
 // ApplyCount(key) exposes how many times a key's write was applied, letting
 // tests assert exactly-once end to end under injected loss and reshapes.
@@ -158,8 +157,8 @@ class FencedKvProclet : public ProcletBase {
 
   size_t size() const { return kv_.size(); }
   const FenceGuard& guard() const { return guard_; }
-  uint64_t hash_begin() const { return hash_begin_; }
-  uint64_t hash_end() const { return hash_end_; }
+  uint64_t range_begin() const { return hash_begin_; }
+  uint64_t range_end() const { return hash_end_; }
 
   // Wire size of the shard's contents — what a whole-shard move must copy.
   int64_t data_bytes() const {

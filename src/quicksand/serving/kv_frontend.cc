@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "quicksand/adapt/shard_maintenance.h"
 #include "quicksand/overload/admission.h"
 
 namespace quicksand {
@@ -464,99 +463,35 @@ Task<Status> KvFrontend::SplitShard(Ctx ctx, ProcletId shard,
       co_return Status::InvalidArgument("split point outside the range");
     }
   }
-  Status gate = co_await rt_.BeginMaintenance(shard);
-  if (!gate.ok()) {
-    co_return gate;
-  }
-  MaintenanceGuard donor_guard(rt_, shard);
-  auto* donor = rt_.UnsafeGet<FencedKvProclet>(shard);
-  QS_CHECK(donor != nullptr);
-  // Durable shards are pinned: reshape mutates them via UnsafeGet, bypassing
-  // the mutation log, and a pre-split checkpoint restored after a split
-  // would resurrect an overlapping range (same rule as shard maintenance).
-  if (donor->durable()) {
-    co_return Status::FailedPrecondition("durable shards are pinned");
-  }
-  const MachineId donor_machine = donor->location();
-  const uint64_t old_end = donor->hash_end();
-  FencedKvProclet::SplitPayload payload =
-      donor->ExtractUpperRange(split_point);
-  // From here on the payload OWNS the upper half: every exit below must
-  // install it somewhere (the fresh shard, or back into the donor) or
-  // account its loss to the crash of the machine it was resident on.
   PlacementRequest req;
   req.heap_bytes = options_.shard_heap_bytes;
   req.pinned = target;
-  auto create = rt_.Create<FencedKvProclet>(ctx, req, split_point, old_end);
-  Result<Ref<FencedKvProclet>> created = co_await std::move(create);
-  if (!created.ok()) {
-    auto rollback = RestorePayload(donor, /*adjacent=*/true, std::move(payload));
-    const Status rolled_back = co_await std::move(rollback);
-    if (!rolled_back.ok()) {
-      co_return rolled_back;  // donor died mid-split: range lost with its host
-    }
-    co_return created.status();
-  }
-  auto begin_new = rt_.BeginMaintenance(created->id());
-  const Status new_gate = co_await std::move(begin_new);
-  if (!new_gate.ok()) {
-    // The fresh shard died (or vanished) before it was ever routed to;
-    // nothing references it, so just put the entries back.
-    auto rollback = RestorePayload(donor, /*adjacent=*/true, std::move(payload));
-    const Status rolled_back = co_await std::move(rollback);
-    co_return rolled_back.ok() ? new_gate : rolled_back;
-  }
-  MaintenanceGuard new_guard(rt_, created->id());
-  auto* fresh = rt_.UnsafeGet<FencedKvProclet>(created->id());
-  QS_CHECK(fresh != nullptr);
-
-  // Ship the moved entries plus the dedup-state copy.
-  const MachineId fresh_machine = fresh->location();
-  auto copy = CopyPayload(donor_machine, fresh_machine, payload.total_bytes);
-  const bool arrived = co_await std::move(copy);
-  if (!options_.unsafe_reshape_for_test && (!arrived || fresh->lost())) {
-    // The destination never held a full copy (its machine died mid-copy, or
-    // the fabric gave up): fence-abort the orphan half — it was never in
-    // the table, so destroying it strands nothing — and roll the entries
-    // back into the donor. The historical code skipped this check and
-    // installed into the corpse, vaporizing the upper half.
-    new_guard.Release();
-    auto destroy = rt_.Destroy(ctx, created->id());
-    (void)co_await std::move(destroy);
-    auto rollback = RestorePayload(donor, /*adjacent=*/true, std::move(payload));
-    const Status rolled_back = co_await std::move(rollback);
-    if (!rolled_back.ok()) {
-      co_return rolled_back;
-    }
-    co_return Status::Unavailable("split target failed during the copy");
-  }
-  Status adopted = fresh->AdoptPayload(std::move(payload));
-  if (!adopted.ok()) {
-    // Destination ran out of memory: put the entries back where they were.
-    new_guard.Release();
-    auto destroy = rt_.Destroy(ctx, created->id());
-    (void)co_await std::move(destroy);
-    auto rollback = RestorePayload(donor, /*adjacent=*/true, std::move(payload));
-    const Status rolled_back = co_await std::move(rollback);
-    co_return rolled_back.ok() ? adopted : rolled_back;
-  }
-
-  // Routing flips while both gates are still closed: requests queued at the
-  // donor re-route through the updated table on their wrong_shard bounce.
-  const size_t donor_idx = EntryIndexOf(shard);
-  QS_CHECK(donor_idx != table_.size());
-  table_[donor_idx].end = split_point;
-  table_.insert(table_.begin() + donor_idx + 1,
-                ShardEntry{split_point, old_end, *created});
-  RebuildShardRefs();
-  // The donor's recent-hash ring spanned both sides of the cut; drop it so
-  // its next split point comes from post-split routing only.
-  auto stats = shard_stats_.find(shard);
-  if (stats != shard_stats_.end()) {
-    stats->second.recent.clear();
-    stats->second.recent_next = 0;
-  }
-  co_return Status::Ok();
+  auto split = ReshapeSplit<FencedKvProclet>(
+      ctx, shard,
+      [split_point](FencedKvProclet&) -> Result<uint64_t> { return split_point; },
+      req,
+      [this, shard](FencedKvProclet&, FencedKvProclet& fresh,
+                    int64_t) -> Task<Status> {
+        // Requests queued at the donor re-route through the updated table
+        // on their wrong_shard bounce.
+        const size_t donor_idx = EntryIndexOf(shard);
+        QS_CHECK(donor_idx != table_.size());
+        table_[donor_idx].end = fresh.range_begin();
+        table_.insert(table_.begin() + donor_idx + 1,
+                      ShardEntry{fresh.range_begin(), fresh.range_end(),
+                                 Ref<FencedKvProclet>(&rt_, fresh.id())});
+        RebuildShardRefs();
+        // The donor's recent-hash ring spanned both sides of the cut; drop
+        // it so its next split point comes from post-split routing only.
+        auto stats = shard_stats_.find(shard);
+        if (stats != shard_stats_.end()) {
+          stats->second.recent.clear();
+          stats->second.recent_next = 0;
+        }
+        co_return Status::Ok();
+      },
+      &reshape_stats_, options_.unsafe_reshape_for_test);
+  co_return co_await std::move(split);
 }
 
 Task<Status> KvFrontend::MergeShards(Ctx ctx, ProcletId left, ProcletId right) {
@@ -568,64 +503,19 @@ Task<Status> KvFrontend::MergeShards(Ctx ctx, ProcletId left, ProcletId right) {
   if (ri != li + 1) {
     co_return Status::InvalidArgument("shards are not adjacent");
   }
-  Status gate = co_await rt_.BeginMaintenance(left);
-  if (!gate.ok()) {
-    co_return gate;
-  }
-  MaintenanceGuard left_guard(rt_, left);
-  gate = co_await rt_.BeginMaintenance(right);
-  if (!gate.ok()) {
-    co_return gate;
-  }
-  MaintenanceGuard right_guard(rt_, right);
-
-  auto* lp = rt_.UnsafeGet<FencedKvProclet>(left);
-  auto* rp = rt_.UnsafeGet<FencedKvProclet>(right);
-  QS_CHECK(lp != nullptr && rp != nullptr);
-  if (lp->durable() || rp->durable()) {
-    co_return Status::FailedPrecondition("durable shards are pinned");
-  }
-  if (lp->hash_end() != rp->hash_begin()) {
-    co_return Status::FailedPrecondition("shards not contiguous");
-  }
-  const MachineId right_machine = rp->location();
-  const MachineId left_machine = lp->location();
-  FencedKvProclet::SplitPayload payload = rp->ExtractAll();
-  // As in SplitShard: the payload owns the right shard's contents until it
-  // is installed at the left or restored to the right.
-  auto copy = CopyPayload(right_machine, left_machine, payload.total_bytes);
-  const bool arrived = co_await std::move(copy);
-  if (!options_.unsafe_reshape_for_test && (!arrived || lp->lost())) {
-    // The surviving half never held the copy: restore the right shard
-    // exactly as it was (its range collapsed during extraction, so racing
-    // requests merely bounced meanwhile). The left shard's own range is
-    // untouched — if its machine died, that loss is the crash's, not the
-    // merge's, and RepairLostShards covers it.
-    auto rollback = RestorePayload(rp, /*adjacent=*/false, std::move(payload));
-    const Status rolled_back = co_await std::move(rollback);
-    if (!rolled_back.ok()) {
-      co_return rolled_back;  // right died too: its data died at home
-    }
-    co_return Status::Unavailable("merge destination failed during the copy");
-  }
-  Status absorbed = lp->AbsorbRightNeighbor(std::move(payload));
-  if (!absorbed.ok()) {
-    // Left's machine ran out of memory: restore the right shard.
-    auto rollback = RestorePayload(rp, /*adjacent=*/false, std::move(payload));
-    const Status rolled_back = co_await std::move(rollback);
-    co_return rolled_back.ok() ? absorbed : rolled_back;
-  }
-
-  const size_t li2 = EntryIndexOf(left);
-  QS_CHECK(li2 + 1 < table_.size() && table_[li2 + 1].ref.id() == right);
-  table_[li2].end = table_[li2 + 1].end;
-  table_.erase(table_.begin() + li2 + 1);
-  RebuildShardRefs();
-  shard_stats_.erase(right);
-  right_guard.Release();
-  auto destroy = rt_.Destroy(ctx, right);
-  (void)co_await std::move(destroy);
-  co_return Status::Ok();
+  auto merge = ReshapeMerge<FencedKvProclet>(
+      ctx, left, right,
+      [this, left, right](FencedKvProclet&, int64_t) -> Task<Status> {
+        const size_t li2 = EntryIndexOf(left);
+        QS_CHECK(li2 + 1 < table_.size() && table_[li2 + 1].ref.id() == right);
+        table_[li2].end = table_[li2 + 1].end;
+        table_.erase(table_.begin() + li2 + 1);
+        RebuildShardRefs();
+        shard_stats_.erase(right);
+        co_return Status::Ok();
+      },
+      &reshape_stats_, options_.unsafe_reshape_for_test);
+  co_return co_await std::move(merge);
 }
 
 Task<Status> KvFrontend::MigrateShard(Ctx ctx, ProcletId shard,
@@ -642,55 +532,6 @@ Task<Status> KvFrontend::MigrateShard(Ctx ctx, ProcletId shard,
   const uint64_t epoch = rt_.EpochOf(shard);
   auto migrate = rt_.Migrate(shard, target, epoch);
   co_return co_await std::move(migrate);
-}
-
-// --- Crash safety -------------------------------------------------------------
-
-Task<Status> KvFrontend::RestorePayload(FencedKvProclet* shard, bool adjacent,
-                                        FencedKvProclet::SplitPayload&& payload) {
-  // Mirrors RetryUnderPressure, but re-checks for loss on every iteration:
-  // a lost proclet ACCEPTS heap charges without accounting (so callers'
-  // rollback invariants hold), which means a blind retry loop would
-  // "succeed" against the limbo corpse and silently drop the payload.
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    if (shard->lost()) {
-      break;
-    }
-    const Status installed = adjacent
-                                 ? shard->AbsorbRightNeighbor(std::move(payload))
-                                 : shard->AdoptPayload(std::move(payload));
-    if (installed.code() != StatusCode::kResourceExhausted) {
-      if (installed.ok()) {
-        ++reshape_rollbacks_;
-      }
-      co_return installed;
-    }
-    co_await rt_.sim().Sleep(Duration::Millis(1));
-  }
-  // The rollback target is gone: the extracted range's bytes were resident
-  // on its machine and died with it — the same loss a crash with no reshape
-  // in flight would have caused. Account it; RepairLostShards restores
-  // availability of the range.
-  ++reshape_payload_discards_;
-  co_return Status::DataLoss(
-      "rollback target lost; the extracted range died with its host");
-}
-
-Task<bool> KvFrontend::CopyPayload(MachineId src, MachineId dst, int64_t bytes) {
-  // A transient fabric fault (loss window, short partition) should not
-  // abort a reshape outright, so retry a couple of times — but only while
-  // both endpoints are still up: a dead endpoint cannot recover here.
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    if (rt_.cluster().machine(src).failed() ||
-        rt_.cluster().machine(dst).failed()) {
-      co_return false;
-    }
-    auto transfer = rt_.fabric().Transfer(src, dst, bytes);
-    if (co_await std::move(transfer)) {
-      co_return true;
-    }
-  }
-  co_return false;
 }
 
 bool KvFrontend::TableFullyLive() const {

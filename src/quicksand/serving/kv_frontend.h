@@ -38,20 +38,10 @@
 // instead of averaged away by a long calm history. Per-shard arrival and
 // shed counters feed the autoscaler's hotness signal.
 //
-// Reshapes are CRASH-SAFE: an extracted payload is never destroyed until it
-// is installed somewhere. If the destination of a split/merge copy dies
-// mid-flight (or the copy never arrives), the payload rolls back into the
-// shard it came from and the orphan half is fence-aborted (destroyed, never
-// routed to). Only when the SOURCE of the bytes dies mid-reshape is the
-// payload discarded — the data was resident on the dead machine and died
-// with it, exactly as if no reshape had been running (the chaos engine's
-// residency ledger treats precisely that case as excused loss).
-// RepairLostShards is the matching self-healing path: routing entries whose
-// shard died and was not restored within a grace period are replaced with
-// fresh empty shards on live machines, so the table always routes
-// somewhere. unsafe_reshape_for_test restores the pre-hardening blind
-// install (writes into a crashed shard's limbo corpse "succeed" and
-// vanish) so the chaos oracles can demonstrate they catch the bug.
+// Split and merge run the crash-safe reshape protocol (sharding/reshape.h);
+// the frontend supplies only the split point, the target machine, and the
+// range-table edit. RepairLostShards is the matching self-healing path for
+// ranges whose shard died with its host.
 
 #ifndef QUICKSAND_SERVING_KV_FRONTEND_H_
 #define QUICKSAND_SERVING_KV_FRONTEND_H_
@@ -69,6 +59,7 @@
 #include "quicksand/overload/retry_budget.h"
 #include "quicksand/proclet/fenced_kv_proclet.h"
 #include "quicksand/runtime/runtime.h"
+#include "quicksand/sharding/reshape.h"
 
 namespace quicksand {
 
@@ -204,12 +195,11 @@ class KvFrontend : public ServingStatsSource, public ReshapableShardSet {
   int64_t retries() const { return retries_; }
   // Requests that bounced off a shard mid-reshape and re-routed.
   int64_t moved_reroutes() const { return moved_reroutes_; }
-  // Reshape payloads returned to their source after a failed install leg
-  // (destination crashed mid-copy, copy never arrived, or out of memory).
-  int64_t reshape_rollbacks() const { return reshape_rollbacks_; }
-  // Reshape payloads discarded because their SOURCE crashed mid-reshape:
-  // the bytes were resident on the dead machine and died with it.
-  int64_t reshape_payload_discards() const { return reshape_payload_discards_; }
+  // Reshape payloads rolled back / discarded; see ReshapeStats.
+  int64_t reshape_rollbacks() const { return reshape_stats_.rollbacks; }
+  int64_t reshape_payload_discards() const {
+    return reshape_stats_.payload_discards;
+  }
   // Lost routing entries replaced with fresh shards by RepairLostShards.
   int64_t repairs() const { return repairs_; }
   const RetryBudget& budget() const { return budget_; }
@@ -256,17 +246,6 @@ class KvFrontend : public ServingStatsSource, public ReshapableShardSet {
   // Merged() walks every bucket and this runs per read).
   bool UnderPressure(MachineId shard_host);
 
-  // Installs a reshape payload back into the shard it was extracted from
-  // (AbsorbRightNeighbor when `adjacent`, AdoptPayload otherwise), retrying
-  // memory pressure but giving up the moment the shard is lost: its host
-  // crashed, so the payload's bytes died where they lived. Never leaves the
-  // payload half-installed.
-  Task<Status> RestorePayload(FencedKvProclet* shard, bool adjacent,
-                              FencedKvProclet::SplitPayload&& payload);
-  // Ships `bytes` source -> destination with bounded retries; true when a
-  // full copy arrived while both endpoints were still up.
-  Task<bool> CopyPayload(MachineId src, MachineId dst, int64_t bytes);
-
   // Routing-table row covering `hash` (the table always covers the space).
   const ShardEntry& Route(uint64_t hash) const;
   // Index into table_ of the row for `shard`, or npos.
@@ -299,8 +278,7 @@ class KvFrontend : public ServingStatsSource, public ReshapableShardSet {
   int64_t memo_stale_serves_ = 0;
   int64_t retries_ = 0;
   int64_t moved_reroutes_ = 0;
-  int64_t reshape_rollbacks_ = 0;
-  int64_t reshape_payload_discards_ = 0;
+  ReshapeStats reshape_stats_;
   int64_t repairs_ = 0;
   // First time RepairLostShards saw each routing entry's shard lost; the
   // grace clock for replacing it.

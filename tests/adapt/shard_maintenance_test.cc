@@ -42,7 +42,7 @@ TEST(VectorMaintenanceTest, SplitsOversizedShard) {
 
   // Maintain with a tiny max: the 800-byte shard must split.
   ShardMaintenanceStats stats;
-  f.sim.BlockOn(MaintainShardedVector(f.ctx(), vec, /*max=*/400, /*min=*/0, &stats));
+  f.sim.BlockOn(MaintainShards(f.ctx(), vec, /*max=*/400, /*min=*/0, &stats));
   EXPECT_GE(stats.splits, 1);
   f.sim.BlockOn(vec.router().Refresh(f.ctx()));
   EXPECT_GE(vec.router().cached_shards().size(), 2u);
@@ -62,7 +62,7 @@ TEST(VectorMaintenanceTest, RepeatedMaintenanceReachesTargetGranularity) {
     QS_CHECK(f.sim.BlockOn(vec.PushBack(f.ctx(), i)).ok());
   }
   for (int round = 0; round < 6; ++round) {
-    f.sim.BlockOn(MaintainShardedVector(f.ctx(), vec, /*max=*/256, /*min=*/0));
+    f.sim.BlockOn(MaintainShards(f.ctx(), vec, /*max=*/256, /*min=*/0));
   }
   f.sim.BlockOn(vec.router().Refresh(f.ctx()));
   // 256 elements x 8B = 2048B; max 256B -> at least 8 shards.
@@ -91,7 +91,7 @@ TEST(VectorMaintenanceTest, MergesUndersizedNeighbors) {
   // Merge pass with a large max and a min above every shard's size.
   ShardMaintenanceStats stats;
   for (int round = 0; round < 6; ++round) {
-    f.sim.BlockOn(MaintainShardedVector(f.ctx(), vec, /*max=*/100000,
+    f.sim.BlockOn(MaintainShards(f.ctx(), vec, /*max=*/100000,
                                         /*min=*/1000, &stats));
   }
   EXPECT_GE(stats.merges, 1);
@@ -118,7 +118,7 @@ TEST(VectorMaintenanceTest, SplitMovesMemoryToOtherMachine) {
   }
   QS_CHECK(f.cluster.machine(0).memory().TryCharge(
       f.cluster.machine(0).memory().free() - 100_KiB));
-  f.sim.BlockOn(MaintainShardedVector(f.ctx(), vec, /*max=*/800, /*min=*/0));
+  f.sim.BlockOn(MaintainShards(f.ctx(), vec, /*max=*/800, /*min=*/0));
   f.sim.BlockOn(vec.router().Refresh(f.ctx()));
   bool any_on_m1 = false;
   for (const ShardInfo& s : vec.router().cached_shards()) {
@@ -137,7 +137,7 @@ TEST(MapMaintenanceTest, SplitsAtMedianProjection) {
   }
   ShardMaintenanceStats stats;
   for (int round = 0; round < 4; ++round) {
-    f.sim.BlockOn(MaintainShardedMap(f.ctx(), map, /*max=*/2000, /*min=*/0, &stats));
+    f.sim.BlockOn(MaintainShards(f.ctx(), map, /*max=*/2000, /*min=*/0, &stats));
   }
   EXPECT_GE(stats.splits, 2);
   f.sim.BlockOn(map.router().Refresh(f.ctx()));
@@ -158,7 +158,7 @@ TEST(MapMaintenanceTest, MergeAfterMassErase) {
     QS_CHECK(f.sim.BlockOn(map.Put(f.ctx(), "key" + std::to_string(i), i)).ok());
   }
   for (int round = 0; round < 5; ++round) {
-    f.sim.BlockOn(MaintainShardedMap(f.ctx(), map, /*max=*/1500, /*min=*/0));
+    f.sim.BlockOn(MaintainShards(f.ctx(), map, /*max=*/1500, /*min=*/0));
   }
   f.sim.BlockOn(map.router().Refresh(f.ctx()));
   const size_t split_count = map.router().cached_shards().size();
@@ -171,7 +171,7 @@ TEST(MapMaintenanceTest, MergeAfterMassErase) {
   }
   ShardMaintenanceStats stats;
   for (int round = 0; round < 6; ++round) {
-    f.sim.BlockOn(MaintainShardedMap(f.ctx(), map, /*max=*/1500, /*min=*/700, &stats));
+    f.sim.BlockOn(MaintainShards(f.ctx(), map, /*max=*/1500, /*min=*/700, &stats));
   }
   EXPECT_GE(stats.merges, 1);
   f.sim.BlockOn(map.router().Refresh(f.ctx()));
@@ -197,8 +197,8 @@ TEST(MapMaintenanceTest, MaintenanceUnderMemoryPressureNeverLosesData) {
   }
   for (int round = 0; round < 8; ++round) {
     // Alternate split-pressure and merge-pressure configurations.
-    f.sim.BlockOn(MaintainShardedMap(f.ctx(), map, /*max=*/1000, /*min=*/0));
-    f.sim.BlockOn(MaintainShardedMap(f.ctx(), map, /*max=*/100000, /*min=*/5000));
+    f.sim.BlockOn(MaintainShards(f.ctx(), map, /*max=*/1000, /*min=*/0));
+    f.sim.BlockOn(MaintainShards(f.ctx(), map, /*max=*/100000, /*min=*/5000));
   }
   f.sim.RunUntilIdle();
   EXPECT_EQ(*f.sim.BlockOn(map.Size(f.ctx())), 400);
@@ -220,7 +220,7 @@ TEST(MaintenanceTest, SplitBlocksCallsOnlyBriefly) {
   f.sim.BlockOn(vec.router().Refresh(f.ctx()));
   const ShardInfo donor = vec.router().cached_shards()[0];
   const SimTime start = f.sim.Now();
-  Status s = f.sim.BlockOn(SplitVectorShard(f.ctx(), vec, donor));
+  Status s = f.sim.BlockOn(SplitShard(f.ctx(), vec, donor));
   EXPECT_TRUE(s.ok());
   // 8KB of moved data: the disruption window is tens of microseconds.
   EXPECT_LT(f.sim.Now() - start, 1_ms);
@@ -234,7 +234,7 @@ TEST(AdaptiveControllerTest, PeriodicMaintenanceKeepsShardsBounded) {
 
   AdaptiveController controller(*f.rt, 0, 1_ms);
   controller.Register("vector", [vec](Ctx ctx) mutable -> Task<> {
-    auto maintain = MaintainShardedVector(ctx, vec, /*max=*/512, /*min=*/64);
+    auto maintain = MaintainShards(ctx, vec, /*max=*/512, /*min=*/64);
     co_await std::move(maintain);
   });
   controller.Start();

@@ -228,8 +228,8 @@ TEST(KvFrontendReshapeTest, MergeRejoinsNeighborsWithoutLosingWrites) {
 
   const auto* survivor = f.rt->UnsafeGet<FencedKvProclet>(left);
   ASSERT_NE(survivor, nullptr);
-  EXPECT_EQ(survivor->hash_begin(), 0u);
-  EXPECT_EQ(survivor->hash_end(), UINT64_MAX);
+  EXPECT_EQ(survivor->range_begin(), 0u);
+  EXPECT_EQ(survivor->range_end(), UINT64_MAX);
   EXPECT_EQ(survivor->size(), 30u);
   for (uint64_t k = 0; k < 30; ++k) {
     EXPECT_EQ(survivor->ApplyCount(k), 1);

@@ -71,7 +71,7 @@ TEST_P(VectorFuzzTest, MatchesReferenceVector) {
         (void)f.sim.BlockOn(f.rt->Migrate(s.proclet, target));
       }
     } else {  // maintenance (splits under the aggressive max, occasional merges)
-      f.sim.BlockOn(MaintainShardedVector(f.ctx(), vec, /*max=*/256, /*min=*/64));
+      f.sim.BlockOn(MaintainShards(f.ctx(), vec, /*max=*/256, /*min=*/64));
     }
   }
 
@@ -131,7 +131,7 @@ TEST_P(MapFuzzTest, MatchesReferenceMap) {
             f.rt->Migrate(s.proclet, static_cast<MachineId>(rng.NextBounded(3))));
       }
     } else {  // maintenance with tight shard budget
-      f.sim.BlockOn(MaintainShardedMap(f.ctx(), map, /*max=*/600, /*min=*/100));
+      f.sim.BlockOn(MaintainShards(f.ctx(), map, /*max=*/600, /*min=*/100));
     }
   }
 

@@ -8,11 +8,17 @@
 // exercises the named-local pattern through deep awaits with string-capturing
 // lambdas and would crash (under ASan: bad-free) if the convention regressed
 // in the wrapped APIs it uses.
+//
+// A second GCC 12 hazard: co_await inside a loop condition, e.g.
+// `while ((co_await ch.Recv()).has_value())`, crashed bench/micro_sim even
+// with no heavy temporary. scripts/check.sh rejects that form; the drain test
+// below pins the named-local replacement.
 
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "quicksand/sim/channel.h"
 #include "quicksand/sim/simulator.h"
 #include "quicksand/sim/task.h"
 
@@ -71,6 +77,33 @@ TEST(GccCoroRegressionTest, RepeatedHeavyCallsDoNotCorruptHeap) {
     EXPECT_EQ(n, 64 + i);
   }
   EXPECT_EQ(sink.calls, 100);
+}
+
+Task<> Produce(Channel<int>& ch, int n) {
+  for (int i = 0; i < n; ++i) {
+    co_await ch.Send(i);
+  }
+  ch.Close();
+}
+
+Task<> Drain(Channel<int>& ch, int64_t* sum) {
+  for (;;) {
+    auto v = co_await ch.Recv();
+    if (!v.has_value()) {
+      break;
+    }
+    *sum += *v;
+  }
+}
+
+TEST(GccCoroRegressionTest, ChannelDrainAwaitsIntoANamedLocal) {
+  Simulator sim;
+  Channel<int> ch(sim, 64);
+  int64_t sum = 0;
+  sim.Spawn(Produce(ch, 1000), "producer");
+  sim.Spawn(Drain(ch, &sum), "consumer");
+  sim.RunUntilIdle();
+  EXPECT_EQ(sum, 999 * 1000 / 2);
 }
 
 }  // namespace
