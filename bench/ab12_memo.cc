@@ -26,7 +26,8 @@
 // the harvest pair, and the stale trio, gating on: determinism, >= 70% hit
 // rate, zero acked-write loss with harvesting (and loss in the ablation),
 // and the stale mode keeping p99 in SLO while failing fewer requests than
-// the memo-off baseline. Writes results/BENCH_ab12.json.
+// the memo-off baseline. It writes no record: only the full run writes
+// results/BENCH_ab12.json.
 
 #include <algorithm>
 #include <cstdio>
@@ -388,7 +389,6 @@ void PrintServing(const char* which, double offered, const ServingResult& r) {
 
 int Smoke(BenchTrace* trace) {
   int rc = 0;
-  std::vector<JsonRow> json;
 
   // Determinism + hit rate: the zipf point, same seed, twice.
   const double offered = 1.5 * kCapacityQps;
@@ -398,8 +398,6 @@ int Smoke(BenchTrace* trace) {
       RunServing(offered, MemoMode::kStale, 1, trace, "smoke_zipf_on2");
   const ServingResult off =
       RunServing(offered, MemoMode::kOff, 1, trace, "smoke_zipf_off");
-  json.push_back(ServingRow("zipf", "memo", offered, on1));
-  json.push_back(ServingRow("zipf", "off", offered, off));
   std::printf("ab12 smoke zipf: offered %.0f qps (shard capacity %.0f)\n"
               "  memo on:  goodput %.0f qps, hit rate %.1f%%, p99 %s\n"
               "  memo off: goodput %.0f qps, p99 %s\n",
@@ -428,8 +426,6 @@ int Smoke(BenchTrace* trace) {
   // ablation loses.
   const HarvestResult harvest = RunHarvest(true, 7, trace, "smoke_harvest");
   const HarvestResult ship = RunHarvest(false, 7, trace, "smoke_ship_cache");
-  json.push_back(HarvestRow("harvest", harvest));
-  json.push_back(HarvestRow("ship_cache", ship));
   std::printf("ab12 smoke harvest: %lld acked writes\n"
               "  cache harvested: %lld lost, %lld cache bytes dropped free\n"
               "  cache shipped:   %lld lost (cache spent the deadline)\n",
@@ -460,8 +456,6 @@ int Smoke(BenchTrace* trace) {
                                         "smoke_stale_base", 0.8);
   const ServingResult stale = RunServing(pressured, MemoMode::kStale, 2, trace,
                                          "smoke_stale_on", 0.8);
-  json.push_back(ServingRow("stale", "off", pressured, base));
-  json.push_back(ServingRow("stale", "stale", pressured, stale));
   std::printf("ab12 smoke stale: offered %.0f qps\n"
               "  memo off: %lld failed, p99 %s, %lld sheds\n"
               "  stale on: %lld failed, p99 %s, %lld stale serves\n",
@@ -492,7 +486,6 @@ int Smoke(BenchTrace* trace) {
     rc = 1;
   }
 
-  WriteJson(json);
   std::printf(rc == 0 ? "ab12 smoke: PASS (deterministic; hit rate, harvest "
                         "and stale-serve gates hold)\n"
                       : "ab12 smoke: FAIL\n");

@@ -2,8 +2,10 @@
 # CI entry point: tier-1 tests (plain + ASan/UBSan via scripts/check.sh) and
 # the smoke gates (durability, trace determinism, partition failover,
 # overload control, autoscale, chaos, memoization), each of which fails on
-# nondeterminism between two same-seed runs, plus the ds split/merge record
-# gate (ab3, kv_rebalance) and a short run of every micro_sim benchmark.
+# nondeterminism between two same-seed runs, plus the sim-time record gate
+# (ab3, kv_rebalance, the full ab12 run, and the paper's figures 1-3) and a
+# short run of every micro_sim benchmark. It ends by failing if any gate
+# left a committed record under results/ changed.
 #
 # Usage: scripts/ci.sh            # full gate
 #        scripts/ci.sh --soak N   # chaos soak only: N seeded schedules
@@ -57,10 +59,16 @@ echo "== memo smoke: hit-rate, cache-first harvest and stale-serve gates, determ
 echo "== scale smoke: event-core digests stable across runs, throughput above floor =="
 ./build/bench/scale_sim --smoke
 
-echo "== ds reshape gate: split/merge sim-time outputs match the committed records =="
+echo "== sim-time record gate: split/merge, memo and figure outputs match the committed records =="
 ./build/bench/ab3_split_merge >/dev/null
 ./build/examples/kv_rebalance > results/example_kv_rebalance.txt
-git diff --exit-code results/BENCH_ab3.json results/example_kv_rebalance.txt
+./build/bench/ab12_memo >/dev/null
+./build/bench/fig1_filler_migration > results/fig1_filler_migration.txt
+./build/bench/fig2_imbalanced_pipeline > results/fig2_imbalanced_pipeline.txt
+./build/bench/fig3_gpu_adaptation > results/fig3_gpu_adaptation.txt
+git diff --exit-code results/BENCH_ab3.json results/example_kv_rebalance.txt \
+  results/BENCH_ab12.json results/fig1_filler_migration.txt \
+  results/fig2_imbalanced_pipeline.txt results/fig3_gpu_adaptation.txt
 
 echo "== micro_sim: every microbenchmark runs to completion =="
 ./build/bench/micro_sim --benchmark_min_time=0.01 >/dev/null
@@ -70,5 +78,8 @@ echo "== chaos smoke (sanitized): same gate under ASan/UBSan =="
 
 echo "== memo smoke (sanitized): same gate under ASan/UBSan =="
 ./build-asan/bench/ab12_memo --smoke
+
+echo "== clean records: no gate rewrote a committed file under results/ =="
+git diff --exit-code -- results/
 
 echo "CI: all gates passed"

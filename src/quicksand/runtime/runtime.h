@@ -148,6 +148,12 @@ class TooManyBouncesError : public std::runtime_error {
   ProcletId id_;
 };
 
+// How an invocation hands an admission refusal to its caller. kThrow:
+// InvocationSheddedError or DeadlineExpiredError (Ref::Call). kReturn: a
+// non-OK Result with the codes Rpc::RoundTrip uses for the same refusals,
+// ResourceExhausted (shed) or DeadlineExceeded (Ref::TryCall).
+enum class RefusalExit { kThrow, kReturn };
+
 // Execution context: which machine the current activity runs on, and (when
 // running inside a compute proclet) which proclet — used for affinity
 // tracking.
@@ -236,6 +242,13 @@ template <typename T>
 struct UnwrapTask<Task<T>> {
   using type = T;
 };
+
+// R of an `fn(P&) -> Task<R>` invocation, and what the invocation's Task
+// yields under each RefusalExit.
+template <typename Fn, typename P>
+using CallResult = typename UnwrapTask<std::invoke_result_t<Fn, P&>>::type;
+template <RefusalExit kExit, typename R>
+using InvokeResult = std::conditional_t<kExit == RefusalExit::kReturn, Result<R>, R>;
 
 }  // namespace internal
 
@@ -388,11 +401,13 @@ class Runtime {
 
   // Attaches an admission controller (nullptr detaches). Invoke then
   // consults it at the target machine after the request arrives and before
-  // any gate wait or proclet work: a shed invocation raises
-  // InvocationSheddedError having consumed only the request leg plus a
-  // header-sized rejection response. Invocations whose TraceContext
-  // deadline has passed on arrival are likewise rejected with
-  // DeadlineExpiredError — dead work is refused, not queued.
+  // any gate wait or proclet work: a shed invocation is refused having
+  // consumed only the request leg plus a header-sized rejection response.
+  // Invocations whose TraceContext deadline has passed on arrival are
+  // likewise refused — dead work is refused, not queued. Ref::Call throws
+  // a refusal (InvocationSheddedError, DeadlineExpiredError); Ref::TryCall,
+  // which the serving tier uses, returns it as a ResourceExhausted or
+  // DeadlineExceeded Result instead.
   void AttachAdmission(AdmissionController* admission) { admission_ = admission; }
   AdmissionController* admission() { return admission_; }
 
@@ -470,10 +485,14 @@ class Runtime {
   // Runs `fn(P&)` at the proclet's current machine. `fn` must return
   // Task<R>; the call returns Task<R>. `request_bytes` models the argument
   // payload; the response payload is WireSizeOf(result) automatically.
-  // Throws ProcletGoneError if the proclet has been destroyed.
-  template <typename P, typename Fn>
+  // Throws ProcletGoneError if the proclet has been destroyed. An admission
+  // refusal throws InvocationSheddedError/DeadlineExpiredError; with
+  // kExit == RefusalExit::kReturn (for an R that is neither void nor Status)
+  // the call returns Task<Result<R>> and completes with the refusal's
+  // Status instead.
+  template <typename P, RefusalExit kExit = RefusalExit::kThrow, typename Fn>
   auto Invoke(Ctx ctx, ProcletId id, Fn fn, int64_t request_bytes = 0)
-      -> Task<typename internal::UnwrapTask<std::invoke_result_t<Fn, P&>>::type>;
+      -> Task<internal::InvokeResult<kExit, internal::CallResult<Fn, P>>>;
 
  private:
   friend class ProcletBase;
@@ -570,10 +589,25 @@ class Ref {
   // invocation resolves through the caching path.
   MachineId Location() const { return rt_->LocationOf(id_); }
 
-  // co_await ref.Call(ctx, [](P& p) -> Task<R> {...});
+  // co_await ref.Call(ctx, [](P& p) -> Task<R> {...}) yields R; an
+  // admission refusal throws InvocationSheddedError/DeadlineExpiredError.
   template <typename Fn>
   auto Call(Ctx ctx, Fn fn, int64_t request_bytes = 0) const {
     return rt_->Invoke<P>(ctx, id_, std::move(fn), request_bytes);
+  }
+
+  // The same hop, but co_await yields Result<R>: an admission refusal
+  // comes back as ResourceExhausted (shed) or DeadlineExceeded and nothing
+  // is thrown. For callers to which refusals are routine traffic (the
+  // serving tier under overload). Every other failure (ProcletGone/Lost/
+  // Unreachable, TooManyBounces) still throws, as from Call.
+  template <typename Fn>
+  auto TryCall(Ctx ctx, Fn fn, int64_t request_bytes = 0) const {
+    using R = internal::CallResult<Fn, P>;
+    static_assert(!std::is_void_v<R> && !std::is_same_v<R, Status>,
+                  "TryCall needs a call whose result a Result<R> can hold");
+    return rt_->Invoke<P, RefusalExit::kReturn>(ctx, id_, std::move(fn),
+                                                request_bytes);
   }
 
  private:
@@ -634,14 +668,15 @@ Task<Result<Ref<P>>> Runtime::Create(Ctx ctx, PlacementRequest request, Args... 
   co_return Ref<P>(this, id);
 }
 
-template <typename P, typename Fn>
+template <typename P, RefusalExit kExit, typename Fn>
 auto Runtime::Invoke(Ctx ctx, ProcletId id, Fn fn, int64_t request_bytes)
-    -> Task<typename internal::UnwrapTask<std::invoke_result_t<Fn, P&>>::type> {
-  using R = typename internal::UnwrapTask<std::invoke_result_t<Fn, P&>>::type;
+    -> Task<internal::InvokeResult<kExit, internal::CallResult<Fn, P>>> {
+  using R = internal::CallResult<Fn, P>;
 
   // The whole resolve/bounce/execute envelope is one `invoke` span; the
-  // guard lives in this coroutine frame, so every throw path below records
-  // the span ending in "abort" as the frame unwinds.
+  // guard lives in this coroutine frame, so every throw path below — and a
+  // returned refusal — records the span ending in "abort" as the frame's
+  // locals are destroyed.
   SpanGuard invoke_span;
   TraceContext tctx = ctx.trace;
   if (tracer_ != nullptr) {
@@ -729,26 +764,32 @@ auto Runtime::Invoke(Ctx ctx, ProcletId id, Fn fn, int64_t request_bytes)
     // request leg plus a header-sized rejection response. Local calls are
     // subject too — the queue being protected is the machine's, not the
     // wire's.
+    std::optional<StatusCode> refusal;
     if (tctx.ExpiredAt(sim_.Now())) {
       ++stats_.deadline_rejected_invocations;
       if (tracer_ != nullptr) {
         tracer_->Instant(tctx, target, TraceOp::kDeadlineExpired, id,
                          tctx.deadline.nanos());
       }
-      if (remote) {
-        (void)co_await DeliverResponse(target, ctx.machine, Rpc::kHeaderBytes);
-      }
-      throw DeadlineExpiredError(id);
-    }
-    if (admission_ != nullptr && !admission_->Admit(target, sim_.Now())) {
+      refusal = StatusCode::kDeadlineExceeded;
+    } else if (admission_ != nullptr && !admission_->Admit(target, sim_.Now())) {
       ++stats_.shed_invocations;
       if (tracer_ != nullptr) {
         tracer_->Instant(tctx, target, TraceOp::kRpcShed, id, attempt);
       }
+      refusal = StatusCode::kResourceExhausted;
+    }
+    if (refusal.has_value()) {
       if (remote) {
         (void)co_await DeliverResponse(target, ctx.machine, Rpc::kHeaderBytes);
       }
-      throw InvocationSheddedError(id);
+      if constexpr (kExit == RefusalExit::kReturn) {
+        co_return Status(*refusal, "");
+      } else if (*refusal == StatusCode::kResourceExhausted) {
+        throw InvocationSheddedError(id);
+      } else {
+        throw DeadlineExpiredError(id);
+      }
     }
     const bool entered = co_await base->EnterCall();
     if (!entered) {

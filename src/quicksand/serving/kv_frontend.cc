@@ -122,7 +122,7 @@ Task<KvFrontend::Attempt> KvFrontend::TryOnce(Ctx ctx,
   Attempt outcome = Attempt::kFatal;
   try {
     if (is_read) {
-      auto call = shard.Call(
+      auto call = shard.TryCall(
           ctx,
           [&rt, svc, key](FencedKvProclet& p) -> Task<Result<int64_t>> {
             co_await rt.cluster().machine(p.location()).cpu().Run(
@@ -130,20 +130,22 @@ Task<KvFrontend::Attempt> KvFrontend::TryOnce(Ctx ctx,
             co_return p.Get(key);
           },
           options_.request_bytes);
-      const Result<int64_t> got = co_await std::move(call);
+      const Result<Result<int64_t>> got = co_await std::move(call);
       // NotFound (cold key) is still a served request; OutOfRange means the
       // key's range left this shard mid-flight (raced a reshape): re-route.
-      if (!got.ok() && got.status().code() == StatusCode::kOutOfRange) {
+      if (!got.ok()) {
+        outcome = Refused(got.status());
+      } else if (!got->ok() && got->status().code() == StatusCode::kOutOfRange) {
         outcome = Attempt::kMoved;
       } else {
         outcome = Attempt::kOk;
         if (read_result != nullptr) {
-          *read_result = got;  // ok or NotFound — both are cacheable answers
+          *read_result = *got;  // ok or NotFound — both are cacheable answers
         }
       }
     } else {
       const int64_t value = static_cast<int64_t>(key) * 31 + 7;
-      auto call = shard.Call(
+      auto call = shard.TryCall(
           ctx,
           [&rt, svc, epoch, rid, key,
            value](FencedKvProclet& p) -> Task<FencedKvProclet::PutResult> {
@@ -152,21 +154,19 @@ Task<KvFrontend::Attempt> KvFrontend::TryOnce(Ctx ctx,
             co_return p.Put(epoch, rid, key, value);
           },
           options_.request_bytes);
-      const FencedKvProclet::PutResult put = co_await std::move(call);
-      if (put.applied || put.duplicate) {
+      const Result<FencedKvProclet::PutResult> put = co_await std::move(call);
+      if (!put.ok()) {
+        outcome = Refused(put.status());
+      } else if (put->applied || put->duplicate) {
         outcome = Attempt::kOk;
-      } else if (put.wrong_shard) {
+      } else if (put->wrong_shard) {
         outcome = Attempt::kMoved;  // raced a reshape; the rid is NOT burned
-      } else if (put.fenced) {
+      } else if (put->fenced) {
         outcome = Attempt::kRetryable;  // epoch moved between resolve and run
       } else {
         outcome = Attempt::kFatal;  // shard out of memory; the rid is burned
       }
     }
-  } catch (const InvocationSheddedError&) {
-    outcome = Attempt::kShed;
-  } catch (const DeadlineExpiredError&) {
-    outcome = Attempt::kDeadline;
   } catch (const ProcletUnreachableError&) {
     outcome = Attempt::kRetryable;
   } catch (const ProcletLostError&) {

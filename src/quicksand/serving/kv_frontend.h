@@ -6,13 +6,19 @@
 // bench can show what each buys:
 //
 //  * deadline propagation — requests are stamped with arrival + SLO; hops
-//    reject dead-on-arrival work at admission (DeadlineExpiredError),
+//    reject dead-on-arrival work at admission,
 //  * admission control — attached to the Runtime by the harness; shards
-//    shed when their host's run queue stands (InvocationSheddedError),
+//    shed when their host's run queue stands,
 //  * retry budget — retries of shed/unreachable attempts spend tokens
 //    funded by first attempts, bounding retry amplification,
 //  * degraded reads — a shed read falls back to the replication backup
 //    within a bounded staleness, trading freshness for availability.
+//
+// Under overload, refusals are a large share of the traffic, so the
+// frontend calls its shards through Ref::TryCall: a shed or an expired
+// deadline comes back as a ResourceExhausted or DeadlineExceeded Result,
+// not an exception. Ref::Call still throws them (InvocationSheddedError,
+// DeadlineExpiredError) for every other caller.
 //
 // Sharding is by HASH RANGE: each shard owns [begin, end) of the
 // KvShardHash space, and a request routes by binary search over the range
@@ -223,11 +229,16 @@ class KvFrontend : public ServingStatsSource, public ReshapableShardSet {
   };
   static constexpr size_t kRecentHashes = 64;
 
-  // One attempt against the shard; classifies the outcome. On a served
-  // read, `read_result` (when non-null) receives the shard's answer —
-  // including NotFound: a "no such key" answer is memoized too (negative
-  // caching), or reads of never-written keys would miss forever.
+  // One attempt against the shard; classifies the outcome (Refused maps an
+  // admission refusal). On a served read, `read_result` (when non-null)
+  // receives the shard's answer — including NotFound: a "no such key"
+  // answer is memoized too (negative caching), or reads of never-written
+  // keys would miss forever.
   enum class Attempt { kOk, kShed, kDeadline, kRetryable, kMoved, kFatal };
+  static Attempt Refused(const Status& refusal) {
+    return refusal.code() == StatusCode::kResourceExhausted ? Attempt::kShed
+                                                             : Attempt::kDeadline;
+  }
   Task<Attempt> TryOnce(Ctx ctx, Ref<FencedKvProclet> shard, uint64_t rid,
                         uint64_t key, bool is_read,
                         std::optional<Result<int64_t>>* read_result = nullptr);
