@@ -3,9 +3,12 @@
 # the smoke gates (durability, trace determinism, partition failover,
 # overload control, autoscale, chaos, memoization), each of which fails on
 # nondeterminism between two same-seed runs, plus the sim-time record gate
-# (ab3, kv_rebalance, the full ab12 run, and the paper's figures 1-3) and a
-# short run of every micro_sim benchmark. It ends by failing if any gate
-# left a committed record under results/ changed.
+# (full runs of every deterministic ds/runtime ablation: ab1-3, ab5-8 and
+# ab12; every example's stdout; the paper's figures 1-3) and a short run of
+# every micro_sim benchmark. It ends by failing if any gate left a committed
+# record under results/ changed. Left out of the record gate: ab4 (peaks at
+# 4.5 GiB RSS), full ab9-ab11 (a full run rewrites their committed --smoke
+# rows) and scale_sim (a host-time record).
 #
 # Usage: scripts/ci.sh            # full gate
 #        scripts/ci.sh --soak N   # chaos soak only: N seeded schedules
@@ -59,16 +62,19 @@ echo "== memo smoke: hit-rate, cache-first harvest and stale-serve gates, determ
 echo "== scale smoke: event-core digests stable across runs, throughput above floor =="
 ./build/bench/scale_sim --smoke
 
-echo "== sim-time record gate: split/merge, memo and figure outputs match the committed records =="
-./build/bench/ab3_split_merge >/dev/null
-./build/examples/kv_rebalance > results/example_kv_rebalance.txt
-./build/bench/ab12_memo >/dev/null
+echo "== sim-time record gate: ablation, example and figure outputs match the committed records =="
+for bench in ab1_migration_latency ab2_locality_prefetch ab3_split_merge \
+  ab5_lazy_migration ab6_revocation ab7_recovery ab8_partition ab12_memo; do
+  ./build/bench/"$bench" >/dev/null
+done
+for example in quickstart dnn_pipeline filler_app flat_storage_demo kv_rebalance; do
+  ./build/examples/"$example" > results/example_"$example".txt
+done
 ./build/bench/fig1_filler_migration > results/fig1_filler_migration.txt
 ./build/bench/fig2_imbalanced_pipeline > results/fig2_imbalanced_pipeline.txt
 ./build/bench/fig3_gpu_adaptation > results/fig3_gpu_adaptation.txt
-git diff --exit-code results/BENCH_ab3.json results/example_kv_rebalance.txt \
-  results/BENCH_ab12.json results/fig1_filler_migration.txt \
-  results/fig2_imbalanced_pipeline.txt results/fig3_gpu_adaptation.txt
+git diff --exit-code results/BENCH_ab{1,2,3,5,6,7,8,12}.json \
+  results/example_*.txt results/fig{1,2,3}_*.txt
 
 echo "== micro_sim: every microbenchmark runs to completion =="
 ./build/bench/micro_sim --benchmark_min_time=0.01 >/dev/null

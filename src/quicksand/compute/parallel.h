@@ -28,7 +28,9 @@ struct ParallelOptions {
 };
 
 // Applies fn(ctx, index, element) to every element of `vec` using `pool`.
-// Completes when all spans have been processed.
+// Completes when all spans have been processed. A span whose elements could
+// not all be read fails the call with the read's status (DataLoss for a
+// lost shard).
 template <typename T, typename Fn>
 Task<Status> ParallelForEach(Ctx ctx, DistPool& pool, ShardedVector<T> vec, Fn fn,
                              ParallelOptions options = ParallelOptions{}) {
@@ -39,12 +41,13 @@ Task<Status> ParallelForEach(Ctx ctx, DistPool& pool, ShardedVector<T> vec, Fn f
   }
   auto remaining = std::make_shared<WaitGroup>(ctx.rt->sim());
   auto failures = std::make_shared<int64_t>(0);
+  auto read_error = std::make_shared<Status>();
 
   for (uint64_t begin = 0; begin < *total; begin += options.span_elems) {
     const uint64_t end = std::min(*total, begin + options.span_elems);
     remaining->Add(1);
-    ComputeProclet::Job job = [vec, begin, end, fn, options, remaining,
-                               failures](Ctx job_ctx) mutable -> Task<> {
+    ComputeProclet::Job job = [vec, begin, end, fn, options, remaining, failures,
+                               read_error](Ctx job_ctx) mutable -> Task<> {
       VectorStream<T> stream(vec, begin, end, options.chunk_elems, options.prefetch);
       uint64_t index = begin;
       for (;;) {
@@ -61,6 +64,9 @@ Task<Status> ParallelForEach(Ctx ctx, DistPool& pool, ShardedVector<T> vec, Fn f
         }
         ++index;
       }
+      if (!stream.status().ok() && read_error->ok()) {
+        *read_error = stream.status();
+      }
       remaining->Done();
     };
     auto submit = pool.Submit(ctx, std::move(job));
@@ -72,6 +78,9 @@ Task<Status> ParallelForEach(Ctx ctx, DistPool& pool, ShardedVector<T> vec, Fn f
   }
   auto wait = remaining->Wait();
   co_await std::move(wait);
+  if (!read_error->ok()) {
+    co_return *read_error;
+  }
   if (*failures > 0) {
     co_return Status::Internal("some parallel spans failed");
   }

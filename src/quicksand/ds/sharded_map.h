@@ -78,7 +78,7 @@ class MapShardProclet : public ProcletBase {
     } else {
       MarkDirty(bytes);
     }
-    entries_[EntryKey{proj, std::move(key)}] = Entry{std::move(value), bytes};
+    entries_[EntryKey{proj, std::move(key)}] = Record{std::move(value), bytes};
     return Status::Ok();
   }
 
@@ -200,7 +200,7 @@ class MapShardProclet : public ProcletBase {
     data_bytes_ += payload.total_bytes;
     for (auto& [key, value, bytes] : payload.entries) {
       const uint64_t proj = Proj{}(key);
-      entries_[EntryKey{proj, std::move(key)}] = Entry{std::move(value), bytes};
+      entries_[EntryKey{proj, std::move(key)}] = Record{std::move(value), bytes};
     }
     retired_ = false;  // a merge rollback re-animates the donor
     return Status::Ok();
@@ -238,7 +238,7 @@ class MapShardProclet : public ProcletBase {
     end_ = payload.range_end;
     for (auto& [key, value, bytes] : payload.entries) {
       const uint64_t proj = Proj{}(key);
-      entries_[EntryKey{proj, std::move(key)}] = Entry{std::move(value), bytes};
+      entries_[EntryKey{proj, std::move(key)}] = Record{std::move(value), bytes};
     }
     return Status::Ok();
   }
@@ -278,7 +278,7 @@ class MapShardProclet : public ProcletBase {
     }
   };
 
-  struct Entry {
+  struct Record {
     V value;
     int64_t bytes = 0;
   };
@@ -288,7 +288,7 @@ class MapShardProclet : public ProcletBase {
     uint64_t end;
     bool retired;
     int64_t data_bytes;
-    std::map<EntryKey, Entry> entries;
+    std::map<EntryKey, Record> entries;
     int64_t heap_bytes;
   };
 
@@ -300,7 +300,7 @@ class MapShardProclet : public ProcletBase {
   uint64_t end_;  // UINT64_MAX means "through the top of the space"
   bool retired_ = false;
   int64_t data_bytes_ = 0;
-  std::map<EntryKey, Entry> entries_;
+  std::map<EntryKey, Record> entries_;
 };
 
 template <typename K, typename V, typename Proj = DefaultShardProjection<K>>
@@ -312,18 +312,12 @@ class ShardedMap : public ShardedHandle {
   ShardedMap() = default;
 
   static Task<Result<ShardedMap>> Create(Ctx ctx, Options options = Options{}) {
-    PlacementRequest index_req;
-    index_req.heap_bytes = options.shard_base_bytes;
-    auto create_index = ctx.rt->Create<ShardIndexProclet>(ctx, index_req);
-    Result<Ref<ShardIndexProclet>> index = co_await std::move(create_index);
-    if (!index.ok()) {
-      co_return index.status();
-    }
     ShardedMap map;
-    map.index_ = *index;
-    map.router_ = ShardRouter(*index);
-    map.options_ = options;
-
+    auto bootstrap = map.CreateIndex(ctx, options);
+    Status indexed = co_await std::move(bootstrap);
+    if (!indexed.ok()) {
+      co_return indexed;
+    }
     PlacementRequest shard_req;
     shard_req.heap_bytes = options.shard_base_bytes;
     auto create_shard =
@@ -344,7 +338,7 @@ class ShardedMap : public ShardedHandle {
       co_return added;
     }
     Status protected_index =
-        co_await map.template ProtectNew<ShardIndexProclet>(ctx, index->id());
+        co_await map.template ProtectNew<ShardIndexProclet>(ctx, map.index_.id());
     if (!protected_index.ok()) {
       co_return protected_index;
     }
@@ -359,120 +353,28 @@ class ShardedMap : public ShardedHandle {
   Task<Status> Put(Ctx ctx, K key, V value) {
     const uint64_t proj = Proj{}(key);
     const int64_t request_bytes = WireSizeOf(key) + WireSizeOf(value);
-    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-      Result<ShardInfo> info = co_await RouteSafe(ctx, proj);
-      if (!info.ok()) {
-        co_return info.status();
-      }
-      Ref<Shard> shard(ctx.rt, info->proclet);
-      auto call = shard.Call(
-          ctx,
-          [key, value](Shard& s) mutable -> Task<Status> {
-            co_return s.Put(std::move(key), std::move(value));
-          },
-          request_bytes);
-      std::optional<Status> status;
-      bool shard_lost = false;
-      try {
-        status.emplace(co_await std::move(call));
-      } catch (const ProcletGoneError&) {
-        router_.Invalidate();
-        continue;
-      } catch (const ProcletLostError&) {
-        router_.Invalidate();
-        shard_lost = true;  // co_await is illegal in a handler; stall below
-      }
-      if (shard_lost) {
-        const bool restored = co_await AwaitShardRestore(ctx, info->proclet);
-        if (!restored) {
-          co_return Status::DataLoss(LostShardMessage(*info));
-        }
-        continue;
-      }
-      if (status->code() == StatusCode::kOutOfRange) {
-        router_.Invalidate();
-        continue;
-      }
-      co_return *status;
-    }
-    co_return Status::Aborted("too many put retries");
+    return AtKey<Status>(
+        ctx, proj,
+        [key = std::move(key), value = std::move(value)](Shard& s) mutable
+        -> Task<Status> { co_return s.Put(std::move(key), std::move(value)); },
+        request_bytes);
   }
 
   Task<Result<V>> Get(Ctx ctx, K key) {
     const uint64_t proj = Proj{}(key);
     const int64_t request_bytes = WireSizeOf(key);
-    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-      Result<ShardInfo> info = co_await RouteSafe(ctx, proj);
-      if (!info.ok()) {
-        co_return info.status();
-      }
-      Ref<Shard> shard(ctx.rt, info->proclet);
-      auto call = shard.Call(
-          ctx, [key](Shard& s) -> Task<Result<V>> { co_return s.Get(key); },
-          request_bytes);
-      std::optional<Result<V>> value;
-      bool shard_lost = false;
-      try {
-        value.emplace(co_await std::move(call));
-      } catch (const ProcletGoneError&) {
-        router_.Invalidate();
-        continue;
-      } catch (const ProcletLostError&) {
-        router_.Invalidate();
-        shard_lost = true;
-      }
-      if (shard_lost) {
-        const bool restored = co_await AwaitShardRestore(ctx, info->proclet);
-        if (!restored) {
-          co_return Status::DataLoss(LostShardMessage(*info));
-        }
-        continue;
-      }
-      if (!value->ok() && value->status().code() == StatusCode::kOutOfRange) {
-        router_.Invalidate();
-        continue;
-      }
-      co_return std::move(*value);
-    }
-    co_return Status::Aborted("too many get retries");
+    return AtKey<Result<V>>(
+        ctx, proj,
+        [key = std::move(key)](Shard& s) -> Task<Result<V>> { co_return s.Get(key); },
+        request_bytes);
   }
 
   Task<Status> Erase(Ctx ctx, K key) {
     const uint64_t proj = Proj{}(key);
-    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-      Result<ShardInfo> info = co_await RouteSafe(ctx, proj);
-      if (!info.ok()) {
-        co_return info.status();
-      }
-      Ref<Shard> shard(ctx.rt, info->proclet);
-      auto call = shard.Call(ctx, [key](Shard& s) -> Task<Status> {
-        co_return s.Erase(key);
-      });
-      std::optional<Status> status;
-      bool shard_lost = false;
-      try {
-        status.emplace(co_await std::move(call));
-      } catch (const ProcletGoneError&) {
-        router_.Invalidate();
-        continue;
-      } catch (const ProcletLostError&) {
-        router_.Invalidate();
-        shard_lost = true;
-      }
-      if (shard_lost) {
-        const bool restored = co_await AwaitShardRestore(ctx, info->proclet);
-        if (!restored) {
-          co_return Status::DataLoss(LostShardMessage(*info));
-        }
-        continue;
-      }
-      if (status->code() == StatusCode::kOutOfRange) {
-        router_.Invalidate();
-        continue;
-      }
-      co_return *status;
-    }
-    co_return Status::Aborted("too many erase retries");
+    return AtKey<Status>(
+        ctx, proj,
+        [key = std::move(key)](Shard& s) -> Task<Status> { co_return s.Erase(key); },
+        0);
   }
 
   Task<Result<bool>> Contains(Ctx ctx, K key) {
@@ -494,35 +396,30 @@ class ShardedMap : public ShardedHandle {
         co_return refreshed;
       }
       int64_t total = 0;
-      bool retry = false;
-      for (const ShardInfo& info : router_.cached_shards()) {
+      bool restored = false;
+      const std::vector<ShardInfo> shards = router_.cached_shards();
+      for (const ShardInfo& info : shards) {
         Ref<Shard> shard(ctx.rt, info.proclet);
         auto call = shard.Call(ctx, [](Shard& s) -> Task<int64_t> {
           co_return s.count();
         });
-        bool shard_lost = false;
-        try {
-          total += co_await std::move(call);
-        } catch (const ProcletGoneError&) {
-          router_.Invalidate();
+        auto guarded = CallShard(ctx, std::move(call), info, LostShardMessage);
+        ShardReply<int64_t> count = co_await std::move(guarded);
+        if (count.stale()) {
           co_return Status::Aborted("shard set changed during size scan");
-        } catch (const ProcletLostError&) {
-          router_.Invalidate();
-          shard_lost = true;
         }
-        if (shard_lost) {
-          const bool restored = co_await AwaitShardRestore(ctx, info.proclet);
-          if (!restored) {
-            co_return Status::DataLoss(LostShardMessage(info));
-          }
-          retry = true;
-          break;
+        if (count.lost()) {
+          co_return count.loss;
         }
+        restored = !count.answered();
+        if (restored) {
+          break;  // scan again from a fresh snapshot
+        }
+        total += *count.answer;
       }
-      if (retry) {
-        continue;
+      if (!restored) {
+        co_return total;
       }
-      co_return total;
     }
     co_return Status::Aborted("too many size retries");
   }
@@ -535,38 +432,32 @@ class ShardedMap : public ShardedHandle {
         co_return refreshed;
       }
       std::vector<std::pair<K, V>> out;
-      bool retry = false;
-      for (const ShardInfo& info : router_.cached_shards()) {
+      bool restored = false;
+      const std::vector<ShardInfo> shards = router_.cached_shards();
+      for (const ShardInfo& info : shards) {
         Ref<Shard> shard(ctx.rt, info.proclet);
         auto call = shard.Call(ctx, [](Shard& s) -> Task<std::vector<std::pair<K, V>>> {
           co_return s.Items();
         });
-        bool shard_lost = false;
-        try {
-          std::vector<std::pair<K, V>> items = co_await std::move(call);
-          for (auto& item : items) {
-            out.push_back(std::move(item));
-          }
-        } catch (const ProcletGoneError&) {
-          router_.Invalidate();
+        auto guarded = CallShard(ctx, std::move(call), info, LostShardMessage);
+        ShardReply<std::vector<std::pair<K, V>>> items = co_await std::move(guarded);
+        if (items.stale()) {
           co_return Status::Aborted("shard set changed during scan");
-        } catch (const ProcletLostError&) {
-          router_.Invalidate();
-          shard_lost = true;
         }
-        if (shard_lost) {
-          const bool restored = co_await AwaitShardRestore(ctx, info.proclet);
-          if (!restored) {
-            co_return Status::DataLoss(LostShardMessage(info));
-          }
-          retry = true;
-          break;
+        if (items.lost()) {
+          co_return items.loss;
+        }
+        restored = !items.answered();
+        if (restored) {
+          break;  // scan again from a fresh snapshot
+        }
+        for (auto& item : *items.answer) {
+          out.push_back(std::move(item));
         }
       }
-      if (retry) {
-        continue;
+      if (!restored) {
+        co_return out;
       }
-      co_return out;
     }
     co_return Status::Aborted("too many scan retries");
   }
@@ -577,6 +468,34 @@ class ShardedMap : public ShardedHandle {
   static std::string LostShardMessage(const ShardInfo& info) {
     return "keys projecting to [" + std::to_string(info.begin) + ", " +
            std::to_string(info.end) + ") lost to a machine failure";
+  }
+
+  // Runs `fn` on the shard owning projection `proj` (Put, Get and Erase).
+  // OutOfRange from a shard is a stale route: a split or merge moved the
+  // key.
+  template <typename R, typename Fn>
+  Task<R> AtKey(Ctx ctx, uint64_t proj, Fn fn, int64_t request_bytes) {
+    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
+      Result<ShardInfo> info = co_await RouteSafe(ctx, proj);
+      if (!info.ok()) {
+        co_return info.status();
+      }
+      Ref<Shard> shard(ctx.rt, info->proclet);
+      auto call = shard.Call(ctx, fn, request_bytes);
+      auto guarded = CallShard(ctx, std::move(call), *info, LostShardMessage);
+      ShardReply<R> reply = co_await std::move(guarded);
+      if (reply.lost()) {
+        co_return reply.loss;
+      }
+      if (!reply.answered()) {
+        continue;  // stale or restored: route again
+      }
+      if (StatusOf(*reply.answer).code() != StatusCode::kOutOfRange) {
+        co_return std::move(*reply.answer);
+      }
+      router_.Invalidate();
+    }
+    co_return Status::Aborted("too many key-access retries");
   }
 };
 

@@ -339,19 +339,14 @@ class ShardedVector : public ShardedHandle {
   ShardedVector() = default;
 
   static Task<Result<ShardedVector>> Create(Ctx ctx, Options options = Options{}) {
-    PlacementRequest index_req;
-    index_req.heap_bytes = options.shard_base_bytes;
-    auto create_index = ctx.rt->Create<ShardIndexProclet>(ctx, index_req);
-    Result<Ref<ShardIndexProclet>> index = co_await std::move(create_index);
-    if (!index.ok()) {
-      co_return index.status();
-    }
     ShardedVector vec;
-    vec.index_ = *index;
-    vec.router_ = ShardRouter(*index);
-    vec.options_ = options;
+    auto bootstrap = vec.CreateIndex(ctx, options);
+    Status indexed = co_await std::move(bootstrap);
+    if (!indexed.ok()) {
+      co_return indexed;
+    }
     Status protected_index =
-        co_await vec.template ProtectNew<ShardIndexProclet>(ctx, index->id());
+        co_await vec.template ProtectNew<ShardIndexProclet>(ctx, vec.index_.id());
     if (!protected_index.ok()) {
       co_return protected_index;
     }
@@ -365,146 +360,73 @@ class ShardedVector : public ShardedHandle {
 
   // Appends an element; returns its index.
   Task<Result<uint64_t>> PushBack(Ctx ctx, T value) {
+    using AppendResult = typename Shard::AppendResult;
     const int64_t request_bytes = WireSizeOf(value);
     for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-      Result<ShardInfo> tail = co_await RouteTail(ctx);
+      // A cached tail needs no index call, so it skips RouteTail's frame.
+      Result<ShardInfo> tail = CachedTail();
+      if (!tail.ok()) {
+        tail = co_await RouteTail(ctx);
+      }
       if (!tail.ok()) {
         co_return tail.status();
       }
       Ref<Shard> shard(ctx.rt, tail->proclet);
-      using AppendResult = typename Shard::AppendResult;
-      // Named task: see the GCC 12 note in sim/task.h.
+      // Named tasks: see the GCC 12 note in sim/task.h.
       auto call = shard.Call(
           ctx,
           [value](Shard& s) mutable -> Task<Result<AppendResult>> {
             co_return s.Append(std::move(value));
           },
           request_bytes);
-      std::optional<Result<AppendResult>> appended;
-      bool shard_lost = false;
-      try {
-        appended.emplace(co_await std::move(call));
-      } catch (const ProcletGoneError&) {
-        router_.Invalidate();
-        continue;
-      } catch (const ProcletLostError&) {
-        router_.Invalidate();
-        shard_lost = true;  // co_await is illegal in a handler; stall below
+      auto guarded = CallShard(ctx, std::move(call), *tail, LostShardMessage);
+      ShardReply<Result<AppendResult>> appended = co_await std::move(guarded);
+      if (appended.lost()) {
+        co_return appended.loss;
       }
-      if (shard_lost) {
-        const bool restored = co_await AwaitShardRestore(ctx, tail->proclet);
-        if (!restored) {
-          co_return Status::DataLoss(LostShardMessage(*tail));
-        }
-        continue;
+      if (!appended.answered()) {
+        continue;  // stale or restored: route again
       }
-      if (!appended->ok()) {
-        if (appended->status().code() == StatusCode::kFailedPrecondition) {
+      if (!appended.answer->ok()) {
+        if (appended.answer->status().code() == StatusCode::kFailedPrecondition) {
           // Tail sealed under us: someone is growing; refresh and retry.
           (void)co_await RefreshSafe(ctx);
           continue;
         }
-        co_return appended->status();
+        co_return appended.answer->status();
       }
-      if ((*appended)->shard_bytes >= options_.max_shard_bytes) {
+      const AppendResult& done = **appended.answer;
+      if (done.shard_bytes >= options_.max_shard_bytes) {
         Status grown = co_await GrowTail(ctx, *tail);
         if (!grown.ok() && grown.code() != StatusCode::kFailedPrecondition) {
           co_return grown;
         }
       }
-      co_return (*appended)->index;
+      co_return done.index;
     }
     co_return Status::Aborted("too many append retries");
   }
 
   Task<Result<T>> Get(Ctx ctx, uint64_t index) {
-    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-      Result<ShardInfo> info = co_await RouteSafe(ctx, index);
-      if (!info.ok()) {
-        co_return Status::OutOfRange("index beyond vector");
-      }
-      Ref<Shard> shard(ctx.rt, info->proclet);
-      auto call = shard.Call(ctx, [index](Shard& s) -> Task<Result<T>> {
-        co_return s.Get(index);
-      });
-      std::optional<Result<T>> value;
-      bool shard_lost = false;
-      try {
-        value.emplace(co_await std::move(call));
-      } catch (const ProcletGoneError&) {
-        router_.Invalidate();
-        continue;
-      } catch (const ProcletLostError&) {
-        router_.Invalidate();
-        shard_lost = true;
-      }
-      if (shard_lost) {
-        const bool restored = co_await AwaitShardRestore(ctx, info->proclet);
-        if (!restored) {
-          co_return Status::DataLoss(LostShardMessage(*info));
-        }
-        continue;
-      }
-      if (!value->ok() && value->status().code() == StatusCode::kOutOfRange) {
-        if (info->end == UINT64_MAX) {
-          // The tail said out-of-range: the index really is past the end.
-          co_return value->status();
-        }
-        router_.Invalidate();  // stale route after a split/merge
-        continue;
-      }
-      co_return std::move(*value);
-    }
-    co_return Status::Aborted("too many read retries");
+    return AtIndex<Result<T>>(
+        ctx, index, [index](Shard& s) -> Task<Result<T>> { co_return s.Get(index); },
+        0);
   }
 
   Task<Status> Set(Ctx ctx, uint64_t index, T value) {
     const int64_t request_bytes = WireSizeOf(value);
-    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-      Result<ShardInfo> info = co_await RouteSafe(ctx, index);
-      if (!info.ok()) {
-        co_return Status::OutOfRange("index beyond vector");
-      }
-      Ref<Shard> shard(ctx.rt, info->proclet);
-      auto call = shard.Call(
-          ctx,
-          [index, value](Shard& s) mutable -> Task<Status> {
-            co_return s.Set(index, std::move(value));
-          },
-          request_bytes);
-      Status status = Status::Internal("unset");
-      bool shard_lost = false;
-      try {
-        status = co_await std::move(call);
-      } catch (const ProcletGoneError&) {
-        router_.Invalidate();
-        continue;
-      } catch (const ProcletLostError&) {
-        router_.Invalidate();
-        shard_lost = true;
-      }
-      if (shard_lost) {
-        const bool restored = co_await AwaitShardRestore(ctx, info->proclet);
-        if (!restored) {
-          co_return Status::DataLoss(LostShardMessage(*info));
-        }
-        continue;
-      }
-      if (status.code() == StatusCode::kOutOfRange) {
-        if (info->end == UINT64_MAX) {
-          co_return status;  // genuinely past the end
-        }
-        router_.Invalidate();
-        continue;
-      }
-      co_return status;
-    }
-    co_return Status::Aborted("too many write retries");
+    return AtIndex<Status>(
+        ctx, index,
+        [index, value = std::move(value)](Shard& s) mutable -> Task<Status> {
+          co_return s.Set(index, std::move(value));
+        },
+        request_bytes);
   }
 
   // Batched cross-shard read of [begin, begin+count) (clamped at the end of
   // the vector). The unit of remote transfer is a whole per-shard range — the
-  // batching that makes remote iteration cheap.
+  // batching that makes remote iteration cheap. One retry budget covers the
+  // whole read.
   Task<Result<std::vector<T>>> GetRange(Ctx ctx, uint64_t begin, uint64_t count) {
     std::vector<T> out;
     uint64_t cursor = begin;
@@ -512,7 +434,10 @@ class ShardedVector : public ShardedHandle {
     while (count > 0) {
       Result<ShardInfo> info = co_await RouteSafe(ctx, cursor);
       if (!info.ok()) {
-        break;  // past the end
+        if (info.status().code() == StatusCode::kNotFound) {
+          break;  // a route gap: past the end
+        }
+        co_return info.status();
       }
       Ref<Shard> shard(ctx.rt, info->proclet);
       const uint64_t ask = count;
@@ -520,44 +445,29 @@ class ShardedVector : public ShardedHandle {
           ctx, [cursor, ask](Shard& s) -> Task<Result<std::vector<T>>> {
             co_return s.GetRange(cursor, ask);
           });
-      std::optional<Result<std::vector<T>>> chunk;
-      bool shard_lost = false;
-      try {
-        chunk.emplace(co_await std::move(call));
-      } catch (const ProcletGoneError&) {
-        router_.Invalidate();
+      auto guarded = CallShard(ctx, std::move(call), *info, LostShardMessage);
+      ShardReply<Result<std::vector<T>>> chunk = co_await std::move(guarded);
+      if (chunk.lost()) {
+        co_return chunk.loss;
+      }
+      bool reroute = !chunk.answered();
+      if (!reroute && !chunk.answer->ok()) {
+        if (chunk.answer->status().code() != StatusCode::kOutOfRange) {
+          co_return chunk.answer->status();
+        }
+        if (info->end == UINT64_MAX) {
+          break;  // reading past the live end of the vector
+        }
+        router_.Invalidate();  // stale route after a split/merge
+        reroute = true;
+      }
+      if (reroute) {
         if (++stale_retries > kMaxAttempts) {
           co_return Status::Aborted("too many range-read retries");
         }
         continue;
-      } catch (const ProcletLostError&) {
-        router_.Invalidate();
-        shard_lost = true;
       }
-      if (shard_lost) {
-        const bool restored = co_await AwaitShardRestore(ctx, info->proclet);
-        if (!restored) {
-          co_return Status::DataLoss(LostShardMessage(*info));
-        }
-        if (++stale_retries > kMaxAttempts) {
-          co_return Status::Aborted("too many range-read retries");
-        }
-        continue;
-      }
-      if (!chunk->ok()) {
-        if (chunk->status().code() == StatusCode::kOutOfRange) {
-          if (info->end == UINT64_MAX) {
-            break;  // reading past the live end of the vector
-          }
-          router_.Invalidate();
-          if (++stale_retries > kMaxAttempts) {
-            co_return Status::Aborted("too many range-read retries");
-          }
-          continue;
-        }
-        co_return chunk->status();
-      }
-      std::vector<T>& data = **chunk;
+      std::vector<T>& data = **chunk.answer;
       if (data.empty()) {
         break;  // tail shard has no elements at cursor yet
       }
@@ -570,48 +480,38 @@ class ShardedVector : public ShardedHandle {
     co_return out;
   }
 
-  // Total element count (one index round trip).
+  // Total element count: sealed shards' ends come from the index; the tail
+  // shard is asked for its live end.
   Task<Result<uint64_t>> Size(Ctx ctx) {
     for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
       Status refreshed = co_await RefreshSafe(ctx);
       if (!refreshed.ok()) {
         co_return refreshed;
       }
-      // The index's counts are advisory; ask the tail shard for its live
-      // count.
       uint64_t total = 0;
-      bool retry = false;
+      std::optional<ShardInfo> tail;
       for (const ShardInfo& shard : router_.cached_shards()) {
-        if (shard.end != UINT64_MAX) {
+        if (shard.end == UINT64_MAX) {
+          tail = shard;
+        } else {
           total = std::max(total, shard.end);
-          continue;
         }
-        Ref<Shard> tail(ctx.rt, shard.proclet);
-        auto call = tail.Call(ctx, [](Shard& s) -> Task<uint64_t> {
-          co_return s.end_index();
-        });
-        uint64_t end_index = 0;
-        bool shard_lost = false;
-        try {
-          end_index = co_await std::move(call);
-        } catch (const ProcletLostError&) {
-          router_.Invalidate();
-          shard_lost = true;
-        }
-        if (shard_lost) {
-          const bool restored = co_await AwaitShardRestore(ctx, shard.proclet);
-          if (!restored) {
-            co_return Status::DataLoss(LostShardMessage(shard));
-          }
-          retry = true;
-          break;
-        }
-        total = std::max(total, end_index);
       }
-      if (retry) {
-        continue;
+      if (!tail.has_value()) {
+        co_return total;
       }
-      co_return total;
+      Ref<Shard> shard(ctx.rt, tail->proclet);
+      auto call = shard.Call(ctx, [](Shard& s) -> Task<uint64_t> {
+        co_return s.end_index();
+      });
+      auto guarded = CallShard(ctx, std::move(call), *tail, LostShardMessage);
+      ShardReply<uint64_t> end = co_await std::move(guarded);
+      if (end.lost()) {
+        co_return end.loss;
+      }
+      if (end.answered()) {
+        co_return std::max(total, *end.answer);
+      }
     }
     co_return Status::Aborted("too many size retries");
   }
@@ -626,9 +526,51 @@ class ShardedVector : public ShardedHandle {
            ") lost to a machine failure";
   }
 
-  // The tail is the shard whose range extends to UINT64_MAX. Between a
-  // concurrent grower's seal and its new-tail insertion the index briefly
-  // has no tail; wait out that window.
+  // Runs `fn` on the shard holding `index` (Get and Set). A route gap
+  // (NotFound: no shard covers the index while a grower installs the new
+  // tail) and the tail's OutOfRange mean past the end; a sealed shard's
+  // OutOfRange is a stale route.
+  template <typename R, typename Fn>
+  Task<R> AtIndex(Ctx ctx, uint64_t index, Fn fn, int64_t request_bytes) {
+    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
+      Result<ShardInfo> info = co_await RouteSafe(ctx, index);
+      if (!info.ok()) {
+        if (info.status().code() == StatusCode::kNotFound) {
+          co_return Status::OutOfRange("index beyond vector");
+        }
+        co_return info.status();
+      }
+      Ref<Shard> shard(ctx.rt, info->proclet);
+      auto call = shard.Call(ctx, fn, request_bytes);
+      auto guarded = CallShard(ctx, std::move(call), *info, LostShardMessage);
+      ShardReply<R> reply = co_await std::move(guarded);
+      if (reply.lost()) {
+        co_return reply.loss;
+      }
+      if (!reply.answered()) {
+        continue;  // stale or restored: route again
+      }
+      if (StatusOf(*reply.answer).code() != StatusCode::kOutOfRange ||
+          info->end == UINT64_MAX) {
+        co_return std::move(*reply.answer);
+      }
+      router_.Invalidate();  // stale route after a split/merge
+    }
+    co_return Status::Aborted("too many point-access retries");
+  }
+
+  // The tail is the shard whose range extends to UINT64_MAX.
+  Result<ShardInfo> CachedTail() const {
+    for (const ShardInfo& shard : router_.cached_shards()) {
+      if (shard.end == UINT64_MAX) {
+        return shard;
+      }
+    }
+    return Status::NotFound("no cached tail");
+  }
+
+  // Between a concurrent grower's seal and its new-tail insertion the index
+  // briefly has no tail; wait out that window.
   Task<Result<ShardInfo>> RouteTail(Ctx ctx) {
     if (router_.cached_shards().empty()) {
       Status refreshed = co_await RefreshSafe(ctx);
@@ -637,10 +579,9 @@ class ShardedVector : public ShardedHandle {
       }
     }
     for (int i = 0; i < kMaxAttempts; ++i) {
-      for (const ShardInfo& shard : router_.cached_shards()) {
-        if (shard.end == UINT64_MAX) {
-          co_return shard;
-        }
+      Result<ShardInfo> tail = CachedTail();
+      if (tail.ok()) {
+        co_return tail;
       }
       co_await ctx.rt->sim().Sleep(Duration::Micros(20));
       Status refreshed = co_await RefreshSafe(ctx);
@@ -652,54 +593,38 @@ class ShardedVector : public ShardedHandle {
   }
 
   // Seals `tail` and installs a fresh tail after it. Concurrent growers are
-  // resolved by the index: losers see FailedPrecondition and retry.
+  // resolved by the index: losers see FailedPrecondition and retry, as does
+  // a grower whose tail or index went stale or was restored mid-grow.
   Task<Status> GrowTail(Ctx ctx, ShardInfo tail) {
     Ref<Shard> shard(ctx.rt, tail.proclet);
     auto seal = shard.Call(ctx, [](Shard& s) -> Task<int64_t> { co_return s.Seal(); });
-    int64_t sealed_count = 0;
-    bool tail_lost = false;
-    try {
-      sealed_count = co_await std::move(seal);
-    } catch (const ProcletGoneError&) {
-      router_.Invalidate();
-      co_return Status::FailedPrecondition("tail vanished during grow");
-    } catch (const ProcletLostError&) {
-      router_.Invalidate();
-      tail_lost = true;
+    auto guarded_seal = CallShard(ctx, std::move(seal), tail, LostShardMessage);
+    ShardReply<int64_t> sealed = co_await std::move(guarded_seal);
+    if (sealed.lost()) {
+      co_return sealed.loss;
     }
-    if (tail_lost) {
-      const bool restored = co_await AwaitShardRestore(ctx, tail.proclet);
-      if (!restored) {
-        co_return Status::DataLoss(LostShardMessage(tail));
-      }
-      // FailedPrecondition is the "retry the append" signal to PushBack.
-      co_return Status::FailedPrecondition("tail restored during grow; retry");
+    if (!sealed.answered()) {
+      co_return Status::FailedPrecondition("tail vanished or restored during grow");
     }
-    const uint64_t boundary = tail.begin + static_cast<uint64_t>(sealed_count);
+    const uint64_t boundary = tail.begin + static_cast<uint64_t>(*sealed.answer);
 
     // Shrink the sealed tail's range in the index.
     ShardInfo sealed_info = tail;
     sealed_info.end = boundary;
-    sealed_info.count = sealed_count;
+    sealed_info.count = *sealed.answer;
     auto update = index_.Call(ctx, [sealed_info](ShardIndexProclet& p) -> Task<Status> {
       co_return p.UpdateShard(sealed_info);
     });
-    Status updated = Status::Internal("unset");
-    bool index_lost = false;
-    try {
-      updated = co_await std::move(update);
-    } catch (const ProcletLostError&) {
-      router_.Invalidate();
-      index_lost = true;
+    auto guarded_update =
+        CallShard(ctx, std::move(update), ShardInfo{.proclet = index_.id()});
+    ShardReply<Status> updated = co_await std::move(guarded_update);
+    if (updated.lost()) {
+      co_return updated.loss;
     }
-    if (index_lost) {
-      const bool restored = co_await AwaitShardRestore(ctx, index_.id());
-      if (!restored) {
-        co_return Status::DataLoss("shard index lost to a machine failure");
-      }
-      co_return Status::FailedPrecondition("index restored during grow; retry");
+    if (!updated.answered()) {
+      co_return Status::FailedPrecondition("index vanished or restored during grow");
     }
-    if (!updated.ok()) {
+    if (!updated.answer->ok()) {
       // Another appender already grew the tail.
       (void)co_await RefreshSafe(ctx);
       co_return Status::FailedPrecondition("tail already grown");
@@ -724,28 +649,17 @@ class ShardedVector : public ShardedHandle {
     auto add = index_.Call(ctx, [info](ShardIndexProclet& p) -> Task<Status> {
       co_return p.AddShard(info);
     });
-    Status added = Status::Internal("unset");
-    bool index_lost = false;
-    try {
-      added = co_await std::move(add);
-    } catch (const ProcletLostError&) {
-      router_.Invalidate();
-      index_lost = true;
-    }
-    if (index_lost) {
-      const bool restored = co_await AwaitShardRestore(ctx, index_.id());
+    auto guarded =
+        CallShard(ctx, std::move(add), ShardInfo{.proclet = index_.id()});
+    ShardReply<Status> added = co_await std::move(guarded);
+    if (!added.answered() || !added.answer->ok()) {
+      // Lost a race, or the index went away mid-grow: drop the orphan shard.
       auto destroy = ctx.rt->Destroy(ctx, shard->id());
       (void)co_await std::move(destroy);
-      if (!restored) {
-        co_return Status::DataLoss("shard index lost to a machine failure");
+      if (added.lost()) {
+        co_return added.loss;
       }
-      co_return Status::FailedPrecondition("index restored mid-grow; retry");
-    }
-    if (!added.ok()) {
-      // Lost a race: drop the orphan shard.
-      auto destroy = ctx.rt->Destroy(ctx, shard->id());
-      (void)co_await std::move(destroy);
-      co_return Status::FailedPrecondition("another tail was added first");
+      co_return Status::FailedPrecondition("tail not added; retry");
     }
     co_return co_await ProtectNew<Shard>(ctx, shard->id());
   }

@@ -43,7 +43,8 @@ class VectorStream {
     QS_CHECK(chunk_elems_ > 0);
   }
 
-  // Next element, or nullopt at the end of the range (or of the vector).
+  // Next element, or nullopt at the end of the range (or of the vector, or
+  // at a failed read: see status()).
   Task<std::optional<T>> Next(Ctx ctx) {
     while (cursor_ == current_.size()) {
       if (exhausted_) {
@@ -56,11 +57,15 @@ class VectorStream {
   }
 
   const Stats& stats() const { return stats_; }
+  // The read that ended the stream early (e.g. DataLoss for a lost shard);
+  // OK while every read succeeded.
+  const Status& status() const { return status_; }
 
  private:
   struct Slot {
     explicit Slot(Simulator& sim) : ready(sim) {}
     std::vector<T> data;
+    Status status;
     uint64_t ask = 0;
     SimEvent ready;
   };
@@ -71,6 +76,8 @@ class VectorStream {
     Result<std::vector<T>> data = co_await std::move(get);
     if (data.ok()) {
       slot->data = std::move(*data);
+    } else {
+      slot->status = data.status();
     }
     slot->ready.Set();
   }
@@ -86,7 +93,10 @@ class VectorStream {
       }
       chunk = std::move(pending_->data);
       if (chunk.size() < pending_->ask) {
-        exhausted_ = true;  // the vector ended inside this chunk
+        exhausted_ = true;  // the vector ended inside this chunk, or a read failed
+      }
+      if (!pending_->status.ok()) {
+        status_ = pending_->status;
       }
       pending_.reset();
     } else {
@@ -99,6 +109,7 @@ class VectorStream {
       auto get = vec_.GetRange(ctx, next_fetch_, ask);
       Result<std::vector<T>> data = co_await std::move(get);
       if (!data.ok()) {
+        status_ = data.status();
         exhausted_ = true;
         co_return;
       }
@@ -132,6 +143,7 @@ class VectorStream {
   std::vector<T> current_;
   size_t cursor_ = 0;
   std::shared_ptr<Slot> pending_;
+  Status status_;
   Stats stats_;
 };
 

@@ -3,8 +3,10 @@
 // Because the simulator shares one address space, an "RPC" does not move real
 // bytes — it charges wire time for the request, runs the server-side closure
 // (which models its own CPU cost against the destination machine), then
-// charges wire time for the response. The runtime's proclet-invocation layer
-// uses this for every remote method call.
+// charges wire time for the response. Proclet invocation does not go
+// through Rpc: Runtime::Invoke runs its own hop and shares only kHeaderBytes.
+// Nothing in src/, bench/ or examples/ constructs an Rpc; its users are its
+// own tests, the trace-propagation test and perfbench's rpc ladder rung.
 //
 // Under network faults (partitions, packet loss) a leg of the round trip can
 // vanish with both endpoints alive. The caller cannot observe the loss

@@ -199,8 +199,8 @@ class ShardRouter {
     co_return LookupCached(key);
   }
 
-  // Pulls a fresh snapshot from the index proclet.
-  Task<> Refresh(Ctx ctx) {
+  // Pulls a fresh snapshot from the index proclet; returns its version.
+  Task<uint64_t> Refresh(Ctx ctx) {
     auto call = index_.Call(
         ctx, [](ShardIndexProclet& p) -> Task<std::pair<uint64_t, std::vector<ShardInfo>>> {
           co_return p.Snapshot();
@@ -208,6 +208,7 @@ class ShardRouter {
     auto [version, shards] = co_await std::move(call);
     version_ = version;
     cache_ = std::move(shards);
+    co_return version;
   }
 
   void Invalidate() {
@@ -215,7 +216,7 @@ class ShardRouter {
     version_ = 0;
   }
 
- private:
+  // The cached shard covering `key`, without calling the index.
   Result<ShardInfo> LookupCached(uint64_t key) const {
     for (const ShardInfo& shard : cache_) {
       if (key >= shard.begin && key < shard.end) {
@@ -225,6 +226,7 @@ class ShardRouter {
     return Status::NotFound("no cached shard covers key");
   }
 
+ private:
   Ref<ShardIndexProclet> index_;
   uint64_t version_ = 0;
   std::vector<ShardInfo> cache_;

@@ -3,6 +3,7 @@
 #include "quicksand/cluster/fault_injector.h"
 #include "quicksand/common/bytes.h"
 #include "quicksand/compute/dist_pool.h"
+#include "quicksand/compute/parallel.h"
 #include "quicksand/ds/sharded_map.h"
 #include "quicksand/ds/sharded_vector.h"
 #include "quicksand/proclet/compute_proclet.h"
@@ -224,6 +225,84 @@ TEST(FailureTest, ShardedVectorSurfacesDataLossWithRange) {
   }
   EXPECT_GT(served, 0);
   EXPECT_GT(data_loss, 0);
+}
+
+TEST(FailureTest, ShardedVectorSurfacesLostIndexAsDataLoss) {
+  Fixture f;
+  // Best-fit avoids the pre-charged controller: the index lands on m1 and
+  // the tail on m2.
+  ASSERT_TRUE(f.cluster.machine(0).memory().TryCharge(1_GiB));
+  ShardedVector<int64_t> vec =
+      *f.sim.BlockOn(ShardedVector<int64_t>::Create(f.rt->CtxOn(0)));
+  ShardedVector<int64_t> cold = vec;  // its router cache is still empty
+  for (int64_t i = 0; i < 10; ++i) {
+    ASSERT_TRUE(f.sim.BlockOn(vec.PushBack(f.rt->CtxOn(0), i)).ok());
+  }
+  ASSERT_EQ(f.rt->LocationOf(vec.index().id()), 1u);
+  ASSERT_EQ(vec.router().cached_shards().size(), 1u);
+  ASSERT_EQ(f.rt->LocationOf(vec.router().cached_shards().front().proclet), 2u);
+  f.faults->FailNow(1);
+
+  // A lost index is not the end of the vector: every op must say DataLoss.
+  Result<int64_t> got = f.sim.BlockOn(cold.Get(f.rt->CtxOn(0), 3));
+  EXPECT_EQ(got.status().code(), StatusCode::kDataLoss);
+  Status set = f.sim.BlockOn(cold.Set(f.rt->CtxOn(0), 3, 42));
+  EXPECT_EQ(set.code(), StatusCode::kDataLoss);
+  Result<std::vector<int64_t>> range =
+      f.sim.BlockOn(cold.GetRange(f.rt->CtxOn(0), 0, 5));
+  EXPECT_EQ(range.status().code(), StatusCode::kDataLoss);
+  Result<uint64_t> size = f.sim.BlockOn(cold.Size(f.rt->CtxOn(0)));
+  EXPECT_EQ(size.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(FailureTest, ParallelForEachReportsElementsItCouldNotRead) {
+  Fixture f(4);
+  ShardedVector<int64_t>::Options options;
+  options.max_shard_bytes = 256;  // 200 elements in 7 shards
+  ShardedVector<int64_t> vec =
+      *f.sim.BlockOn(ShardedVector<int64_t>::Create(f.rt->CtxOn(0), options));
+  for (int64_t i = 0; i < 200; ++i) {
+    ASSERT_TRUE(f.sim.BlockOn(vec.PushBack(f.rt->CtxOn(0), i)).ok());
+  }
+  DistPool::Options pool_options;
+  pool_options.initial_proclets = 2;
+  DistPool pool =
+      *f.sim.BlockOn(DistPool::Create(f.rt->CtxOn(0), pool_options));
+
+  // m2 holds sealed shards only: not the index, the tail or a pool member.
+  constexpr MachineId kVictim = 2;
+  f.sim.BlockOn(vec.router().Refresh(f.rt->CtxOn(0)));
+  ASSERT_EQ(vec.router().cached_shards().size(), 7u);
+  ASSERT_NE(f.rt->LocationOf(vec.index().id()), kVictim);
+  ASSERT_NE(f.rt->LocationOf(vec.router().cached_shards().back().proclet),
+            kVictim);
+  for (const auto& member : pool.members()) {
+    ASSERT_NE(member.Location(), kVictim);
+  }
+  int64_t sealed_on_victim = 0;
+  for (const ShardInfo& shard : vec.router().cached_shards()) {
+    sealed_on_victim += f.rt->LocationOf(shard.proclet) == kVictim ? 1 : 0;
+  }
+  ASSERT_GT(sealed_on_victim, 0);
+  f.faults->FailNow(kVictim);
+
+  // Chunks of 64 fail on the stream's first read; chunks of 16 get two
+  // reads through and fail on a prefetch.
+  for (uint64_t chunk : {64, 16}) {
+    ParallelOptions parallel;
+    parallel.chunk_elems = chunk;
+    auto visited = std::make_shared<int64_t>(0);
+    Status status = f.sim.BlockOn(ParallelForEach(
+        f.rt->CtxOn(0), pool, vec,
+        [visited](Ctx, uint64_t, int64_t) -> Task<> {
+          ++*visited;
+          co_return;
+        },
+        parallel));
+    EXPECT_LT(*visited, 200);
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+  }
+  f.sim.BlockOn(pool.Shutdown(f.rt->CtxOn(0)));
 }
 
 TEST(FailureTest, ShardedMapSurfacesDataLoss) {
