@@ -5,10 +5,13 @@
 # nondeterminism between two same-seed runs, plus the sim-time record gate
 # (full runs of every deterministic ds/runtime ablation: ab1-3, ab5-8 and
 # ab12; every example's stdout; the paper's figures 1-3) and a short run of
-# every micro_sim benchmark. It ends by failing if any gate left a committed
-# record under results/ changed. Left out of the record gate: ab4 (peaks at
-# 4.5 GiB RSS), full ab9-ab11 (a full run rewrites their committed --smoke
-# rows) and scale_sim (a host-time record).
+# every micro_sim benchmark. The binaries whose GPU fibers are still parked
+# inside a proclet call at simulator teardown (fig3, dnn_pipeline) also run
+# under ASan/UBSan and must match the same records. It ends by failing if
+# any gate left a committed record under results/ changed. Left out of the
+# record gate: ab4 (peaks at 4.5 GiB RSS), full ab9-ab11 (a full run
+# rewrites their committed --smoke rows) and scale_sim (a host-time
+# record).
 #
 # Usage: scripts/ci.sh            # full gate
 #        scripts/ci.sh --soak N   # chaos soak only: N seeded schedules
@@ -84,6 +87,11 @@ echo "== chaos smoke (sanitized): same gate under ASan/UBSan =="
 
 echo "== memo smoke (sanitized): same gate under ASan/UBSan =="
 ./build-asan/bench/ab12_memo --smoke
+
+echo "== parked calls (sanitized): fig3 and dnn_pipeline tear down parked GPU pops, and match their records =="
+./build-asan/bench/fig3_gpu_adaptation > results/fig3_gpu_adaptation.txt
+./build-asan/examples/dnn_pipeline > results/example_dnn_pipeline.txt
+git diff --exit-code results/fig3_gpu_adaptation.txt results/example_dnn_pipeline.txt
 
 echo "== clean records: no gate rewrote a committed file under results/ =="
 git diff --exit-code -- results/

@@ -2,14 +2,17 @@
 //
 // "For the training stage, we emulated GPUs by adding a delay to consume
 // data from the queue, as we have not yet implemented GPU proclets." Each
-// emulated GPU repeatedly pops a batch of tensors from the sharded queue and
-// sleeps for the batch's training time. The live GPU count can change at any
-// moment (SetGpuCount) — that is the disturbance Fig. 3 applies every 200 ms.
+// active emulated GPU waits in a blocking pop until the sharded queue gives
+// it tensors, repeats until it holds a full batch, and then sleeps for the
+// batch's training time. The live GPU count can change at any moment
+// (SetGpuCount) — that is the disturbance Fig. 3 applies every 200 ms.
 
 #ifndef QUICKSAND_APP_TRAINER_H_
 #define QUICKSAND_APP_TRAINER_H_
 
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "quicksand/app/image.h"
 #include "quicksand/ds/sharded_queue.h"
@@ -22,7 +25,9 @@ struct GpuTrainerConfig {
   int batch_size = 8;
   // Emulated time to train one batch on one GPU.
   Duration batch_time = Duration::Millis(2);
-  // Poll interval when the queue has no full batch.
+  // How often an inactive GPU re-checks whether it was activated, and the
+  // backoff after a failed pop. An active GPU never polls: it waits inside
+  // the queue's blocking pop.
   Duration idle_poll = Duration::Micros(200);
   // Machine whose NIC the trainers pull through.
   MachineId gpu_machine = 0;
@@ -34,6 +39,7 @@ class GpuTrainer {
       : rt_(rt), queue_(std::move(queue)), config_(config) {
     state_ = std::make_shared<State>();
     state_->active_gpus = config.initial_gpus;
+    state_->wait_since.resize(static_cast<size_t>(config.max_gpus));
   }
 
   // Spawns max_gpus worker fibers; only the first `active_gpus` consume.
@@ -45,6 +51,21 @@ class GpuTrainer {
 
   void SetGpuCount(int n) {
     QS_CHECK(n >= 0 && n <= config_.max_gpus);
+    // A waiting GPU's idle counts only while it is active: settle the waits
+    // of GPUs that stop being active, restart the clock of those that start.
+    const SimTime now = rt_.sim().Now();
+    for (int i = 0; i < config_.max_gpus; ++i) {
+      std::optional<SimTime>& since = state_->wait_since[static_cast<size_t>(i)];
+      const bool was_active = i < state_->active_gpus;
+      if (!since.has_value() || was_active == (i < n)) {
+        continue;
+      }
+      if (was_active) {
+        state_->idle += now - *since;
+      } else {
+        since = now;
+      }
+    }
     state_->active_gpus = n;
   }
   int gpu_count() const { return state_->active_gpus; }
@@ -52,9 +73,20 @@ class GpuTrainer {
   int64_t tensors_consumed() const { return state_->tensors_consumed; }
   int64_t batches_trained() const { return state_->batches; }
 
-  // Fraction of active-GPU time spent waiting on an empty queue, since the
-  // given reading (the starvation signal the stage scaler consumes).
-  Duration TotalIdle() const { return state_->idle; }
+  // Cumulative time active GPUs have spent waiting for tensors, including
+  // waits still in progress (the starvation signal the stage scaler reads
+  // as a delta between rounds).
+  Duration TotalIdle() const {
+    const SimTime now = rt_.sim().Now();
+    Duration total = state_->idle;
+    for (int i = 0; i < state_->active_gpus; ++i) {
+      const std::optional<SimTime>& since = state_->wait_since[static_cast<size_t>(i)];
+      if (since.has_value()) {
+        total += now - *since;
+      }
+    }
+    return total;
+  }
   Duration TotalBusy() const { return state_->busy; }
 
  private:
@@ -62,12 +94,16 @@ class GpuTrainer {
     int active_gpus = 0;
     int64_t tensors_consumed = 0;
     int64_t batches = 0;
-    Duration idle = Duration::Zero();
+    Duration idle = Duration::Zero();  // settled waits only
     Duration busy = Duration::Zero();
+    // Per GPU, while it waits for tensors: when the wait last started
+    // counting as idle (it began, or the GPU was activated mid-wait).
+    std::vector<std::optional<SimTime>> wait_since;
   };
 
   Task<> GpuLoop(int index) {
     std::vector<Tensor> pending;
+    std::optional<SimTime>& wait_since = state_->wait_since[static_cast<size_t>(index)];
     for (;;) {
       if (index >= state_->active_gpus) {
         co_await rt_.sim().Sleep(config_.idle_poll);
@@ -75,17 +111,20 @@ class GpuTrainer {
       }
       const int64_t need = config_.batch_size - static_cast<int64_t>(pending.size());
       if (need > 0) {
-        auto pop = queue_.TryPopBatch(rt_.CtxOn(config_.gpu_machine), need);
+        wait_since = rt_.sim().Now();
+        auto pop = queue_.PopBatch(rt_.CtxOn(config_.gpu_machine), need);
         Result<std::vector<Tensor>> got = co_await std::move(pop);
         if (got.ok()) {
-          for (Tensor& t : *got) {
-            pending.push_back(t);
-          }
+          pending.insert(pending.end(), got->begin(), got->end());
+        } else {
+          co_await rt_.sim().Sleep(config_.idle_poll);  // error backoff
         }
+        if (index < state_->active_gpus) {
+          state_->idle += rt_.sim().Now() - *wait_since;
+        }
+        wait_since.reset();
       }
-      if (static_cast<int>(pending.size()) < config_.batch_size) {
-        state_->idle += config_.idle_poll;
-        co_await rt_.sim().Sleep(config_.idle_poll);
+      if (static_cast<int64_t>(pending.size()) < config_.batch_size) {
         continue;
       }
       co_await rt_.sim().Sleep(config_.batch_time);  // the emulated GPU work

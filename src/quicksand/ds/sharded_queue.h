@@ -8,7 +8,9 @@
 // scheduler can place wherever memory is free ("the queue can absorb bursts
 // in producer output by storing it in memory proclets that can split and
 // migrate", §4). Consumers pop from the oldest segment; a drained, sealed
-// segment is unlinked and destroyed.
+// segment is unlinked and destroyed. A blocking pop parks inside the oldest
+// segment until it holds an item or is sealed, so a waiting consumer costs
+// no messages and no events.
 
 #ifndef QUICKSAND_DS_SHARDED_QUEUE_H_
 #define QUICKSAND_DS_SHARDED_QUEUE_H_
@@ -22,6 +24,7 @@
 #include "quicksand/common/wire.h"
 #include "quicksand/runtime/runtime.h"
 #include "quicksand/sharding/shard_index.h"
+#include "quicksand/sim/wait_queue.h"
 
 namespace quicksand {
 
@@ -43,7 +46,7 @@ class QueueSegmentProclet : public ProcletBase {
   };
 
   QueueSegmentProclet(const ProcletInit& init, uint64_t sequence)
-      : ProcletBase(init), sequence_(sequence) {}
+      : ProcletBase(init), sequence_(sequence), waiters_(*init.sim) {}
 
   uint64_t sequence() const { return sequence_; }
   bool sealed() const { return sealed_; }
@@ -61,13 +64,23 @@ class QueueSegmentProclet : public ProcletBase {
     data_bytes_ += bytes;
     item_bytes_.push_back(bytes);
     items_.push_back(std::move(value));
+    waiters_.WakeOne();
     return PushResult{data_bytes_, count()};
   }
 
-  void Seal() { sealed_ = true; }
+  void Seal() {
+    sealed_ = true;
+    waiters_.WakeAll();
+  }
 
-  // Removes up to `max_items` from the front.
-  PopResult Pop(int64_t max_items) {
+  // Removes up to `max_items` from the front. With `wait`, the call first
+  // parks until the segment holds an item or is sealed; a push wakes the
+  // oldest parked call. Closing the gate or losing the machine releases
+  // every parked call empty and not drained, and its caller re-issues it.
+  Task<PopResult> Pop(int64_t max_items, bool wait) {
+    while (wait && items_.empty() && !sealed_ && !gate_closed() && !lost()) {
+      co_await waiters_.Park();
+    }
     PopResult result;
     while (max_items-- > 0 && !items_.empty()) {
       const int64_t bytes = item_bytes_.front();
@@ -78,8 +91,12 @@ class QueueSegmentProclet : public ProcletBase {
       items_.pop_front();
     }
     result.drained = sealed_ && items_.empty();
-    return result;
+    co_return result;
   }
+
+ protected:
+  void OnGateClose() override { waiters_.WakeAll(); }
+  void OnLost() override { waiters_.WakeAll(); }
 
  private:
   uint64_t sequence_;
@@ -87,6 +104,8 @@ class QueueSegmentProclet : public ProcletBase {
   int64_t data_bytes_ = 0;
   std::deque<T> items_;
   std::deque<int64_t> item_bytes_;
+  // Blocking pops parked until an item arrives or the segment is sealed.
+  WaitQueue waiters_;
 };
 
 template <typename T>
@@ -165,35 +184,16 @@ class ShardedQueue {
     co_return Status::Aborted("too many push retries");
   }
 
-  // Pops up to `max_items` items; returns an empty vector when the queue is
-  // empty (non-blocking — consumers poll).
+  // Pops up to `max_items` items without waiting; returns an empty vector
+  // when the queue is empty.
   Task<Result<std::vector<T>>> TryPopBatch(Ctx ctx, int64_t max_items) {
-    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-      Result<ShardInfo> head = co_await RouteEnd(ctx, /*tail=*/false);
-      if (!head.ok()) {
-        co_return head.status();
-      }
-      Ref<Segment> segment(ctx.rt, head->proclet);
-      using PopResult = typename Segment::PopResult;
-      auto call = segment.Call(ctx, [max_items](Segment& s) -> Task<PopResult> {
-        co_return s.Pop(max_items);
-      });
-      std::optional<PopResult> popped;
-      try {
-        popped.emplace(co_await std::move(call));
-      } catch (const ProcletGoneError&) {
-        router_.Invalidate();
-        continue;
-      }
-      if (popped->drained) {
-        co_await UnlinkSegment(ctx, *head);
-        if (popped->items.empty()) {
-          continue;  // try the next segment
-        }
-      }
-      co_return std::move(popped->items);
-    }
-    co_return Status::Aborted("too many pop retries");
+    return PopLoop(ctx, max_items, /*wait=*/false);
+  }
+
+  // Pops between 1 and `max_items` items, waiting for the first: the request
+  // parks inside the oldest segment until it holds an item or is sealed.
+  Task<Result<std::vector<T>>> PopBatch(Ctx ctx, int64_t max_items) {
+    return PopLoop(ctx, max_items, /*wait=*/true);
   }
 
   Task<Result<std::optional<T>>> TryPop(Ctx ctx) {
@@ -229,6 +229,40 @@ class ShardedQueue {
  private:
   static constexpr int kMaxAttempts = 16;
 
+  // The one pop loop: route to the oldest segment, pop there (parking first
+  // when `wait`), unlink the segment if that drained it, retry. A waiting
+  // call that comes back empty was released by a gate close (a migration
+  // or destroy of the segment) and is re-issued.
+  Task<Result<std::vector<T>>> PopLoop(Ctx ctx, int64_t max_items, bool wait) {
+    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
+      auto route = RouteEnd(ctx, /*tail=*/false);
+      Result<ShardInfo> head = co_await std::move(route);
+      if (!head.ok()) {
+        co_return head.status();
+      }
+      Ref<Segment> segment(ctx.rt, head->proclet);
+      auto call = segment.Call(ctx, [max_items, wait](Segment& s) {
+        return s.Pop(max_items, wait);
+      });
+      std::optional<typename Segment::PopResult> popped;
+      try {
+        popped.emplace(co_await std::move(call));
+      } catch (const ProcletGoneError&) {
+        router_.Invalidate();
+        continue;
+      }
+      if (popped->drained) {
+        auto unlink = UnlinkSegment(ctx, *head);
+        co_await std::move(unlink);
+      }
+      if (popped->items.empty() && (popped->drained || wait)) {
+        continue;  // the next segment, or the released wait again
+      }
+      co_return std::move(popped->items);
+    }
+    co_return Status::Aborted("too many pop retries");
+  }
+
   // tail=true: highest sequence; tail=false: lowest.
   Task<Result<ShardInfo>> RouteEnd(Ctx ctx, bool tail) {
     for (int i = 0; i < 2; ++i) {
@@ -244,24 +278,26 @@ class ShardedQueue {
     co_return Status::Internal("queue has no segments");
   }
 
+  // Links the successor before sealing `tail`, so a sealed segment always
+  // has one: the consumers its seal wakes drain and unlink it and move on,
+  // and never find the queue without segments.
   Task<Status> GrowTail(Ctx ctx, ShardInfo tail) {
+    auto add = AddSegment(ctx, tail.begin + 1);
+    const Status added = co_await std::move(add);
+    if (!added.ok()) {
+      auto refresh = router_.Refresh(ctx);
+      co_await std::move(refresh);
+      co_return added;  // FailedPrecondition: another grower linked it first
+    }
     Ref<Segment> segment(ctx.rt, tail.proclet);
     auto seal = segment.Call(ctx, [](Segment& s) -> Task<bool> {
       s.Seal();
       co_return true;
     });
-    try {
-      (void)co_await std::move(seal);
-    } catch (const ProcletGoneError&) {
-      router_.Invalidate();
-      co_return Status::FailedPrecondition("tail vanished during grow");
-    }
-    Status added = co_await AddSegment(ctx, tail.begin + 1);
-    co_await router_.Refresh(ctx);
-    if (added.code() == StatusCode::kFailedPrecondition) {
-      co_return Status::FailedPrecondition("another tail was added first");
-    }
-    co_return added;
+    (void)co_await std::move(seal);  // linked and unsealed, so not destroyed
+    auto refresh = router_.Refresh(ctx);
+    co_await std::move(refresh);
+    co_return Status::Ok();
   }
 
   Task<Status> AddSegment(Ctx ctx, uint64_t sequence) {
@@ -276,7 +312,15 @@ class ShardedQueue {
     info.proclet = segment->id();
     info.begin = sequence;
     info.end = sequence + 1;
+    // Segments only append. A grower whose tail went stale while its link
+    // request was in flight must not link a sequence below the live tail:
+    // that segment would become the head, and consumers would wait there
+    // while every push lands behind it.
     auto add = index_.Call(ctx, [info](ShardIndexProclet& p) -> Task<Status> {
+      const std::vector<ShardInfo> shards = p.Snapshot().second;
+      if (!shards.empty() && shards.back().begin >= info.begin) {
+        co_return Status::FailedPrecondition("a later segment is linked");
+      }
       co_return p.AddShard(info);
     });
     Status added = co_await std::move(add);

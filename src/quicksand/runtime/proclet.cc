@@ -65,6 +65,7 @@ void ProcletBase::ExitCall() {
 Task<> ProcletBase::CloseGateAndDrain() {
   QS_CHECK_MSG(!gate_closed_, "gate already closed");
   gate_closed_ = true;
+  OnGateClose();
   while (active_calls_ > 0) {
     co_await drain_waiters_.Park();
   }

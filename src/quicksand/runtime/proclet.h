@@ -9,7 +9,8 @@
 //  * byte-accounted heap charged to the hosting machine,
 //  * the invocation gate — method calls are blocked while the proclet is
 //    being migrated, split, or merged (§3.3), and migration drains active
-//    calls before copying the heap,
+//    calls before copying the heap (calls parked inside the proclet are
+//    released first, see OnGateClose),
 //  * invocation statistics the scheduler uses (recency, affinity).
 //
 // Subclasses take a ProcletInit as their first constructor argument and
@@ -195,6 +196,13 @@ class ProcletBase {
 
   // --- Lifecycle hooks (overridden by resource proclets) --------------------
 
+  // Called synchronously when the gate closes (Migrate, Destroy,
+  // BeginMaintenance), before the drain waits out active calls. A proclet
+  // whose methods park inside the call until another call changes its state
+  // (a queue segment's blocking pop) must release them here, or the drain
+  // waits on them forever; a released call returns, and its caller re-issues
+  // it and follows the proclet to its new host. Must not suspend.
+  virtual void OnGateClose() {}
   // Called with the gate closed and calls drained, before the heap is copied
   // for migration or released for destruction. Compute proclets use this to
   // let in-flight jobs finish so heap accounting stays consistent.
@@ -249,7 +257,8 @@ class ProcletBase {
   // destroyed while waiting (the caller must not touch it afterwards).
   Task<bool> EnterCall();
   void ExitCall();
-  // Closes the gate and waits for in-flight calls to finish. Pre: gate open.
+  // Closes the gate, releases parked calls (OnGateClose) and waits for
+  // in-flight calls to finish. Pre: gate open.
   Task<> CloseGateAndDrain();
   void OpenGate();
   void MarkDestroyed();

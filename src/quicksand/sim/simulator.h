@@ -51,7 +51,9 @@
 
 namespace quicksand {
 
-// Identifies a scheduled event so it can be cancelled (e.g. RPC timeouts).
+// Identifies a scheduled event so it can be cancelled (a timeout that is
+// no longer needed). The library itself never cancels: the callers are
+// bench/scale_sim's timeout cells and the simulator tests.
 // Encodes (slot index + 1) << 32 | slot generation; 0 is never produced.
 using EventId = uint64_t;
 inline constexpr EventId kInvalidEventId = 0;

@@ -131,6 +131,57 @@ TEST(GpuTrainerTest, IdleAccumulatesWhenStarved) {
   EXPECT_EQ(trainer.tensors_consumed(), 0);
 }
 
+TEST(GpuTrainerTest, TotalIdleIncludesTheWaitInProgress) {
+  PipelineFixture f;
+  auto queue = *f.sim.BlockOn(ShardedQueue<Tensor>::Create(f.ctx()));
+  GpuTrainerConfig cfg;
+  cfg.initial_gpus = 1;
+  cfg.max_gpus = 1;
+  cfg.batch_size = 1;
+  cfg.batch_time = 1_ms;
+  GpuTrainer trainer(*f.rt, queue, cfg);
+  const SimTime start = f.sim.Now();
+  trainer.Start();
+  // The GPU parks in one blocking pop; each reading counts the wait so far.
+  f.sim.RunUntil(start + 4_ms);
+  EXPECT_EQ(trainer.TotalIdle(), 4_ms);
+  f.sim.RunUntil(start + 10_ms);
+  EXPECT_EQ(trainer.TotalIdle(), 10_ms);
+  // A tensor ends the wait; training time is busy, not idle.
+  Tensor t;
+  t.bytes = 1000;
+  QS_CHECK(f.sim.BlockOn(queue.Push(f.ctx(), t)).ok());
+  f.sim.RunFor(500_us);
+  EXPECT_EQ(trainer.tensors_consumed(), 0);
+  const Duration idle_in_training = trainer.TotalIdle();
+  EXPECT_GE(idle_in_training, 10_ms);
+  EXPECT_LT(idle_in_training, 11_ms);
+  f.sim.RunFor(400_us);
+  EXPECT_EQ(trainer.TotalIdle(), idle_in_training) << "the GPU is training";
+}
+
+TEST(GpuTrainerTest, InactiveGpusAddNoIdle) {
+  PipelineFixture f;
+  auto queue = *f.sim.BlockOn(ShardedQueue<Tensor>::Create(f.ctx()));
+  GpuTrainerConfig cfg;
+  cfg.initial_gpus = 2;
+  cfg.max_gpus = 4;  // two GPUs never wait: inactive from the start
+  GpuTrainer trainer(*f.rt, queue, cfg);
+  const SimTime start = f.sim.Now();
+  trainer.Start();
+  f.sim.RunUntil(start + 5_ms);
+  EXPECT_EQ(trainer.TotalIdle(), 10_ms);
+  // GPU 1 stays parked in its pop, but inactive it adds nothing.
+  trainer.SetGpuCount(1);
+  f.sim.RunUntil(start + 10_ms);
+  EXPECT_EQ(trainer.TotalIdle(), 15_ms);
+  // Reactivated mid-wait, it counts again from the moment it came back.
+  trainer.SetGpuCount(2);
+  f.sim.RunUntil(start + 15_ms);
+  EXPECT_EQ(trainer.TotalIdle(), 25_ms);
+  EXPECT_EQ(trainer.TotalBusy(), Duration::Zero());
+}
+
 TEST(GpuTrainerTest, GpuCountChangesConsumptionRate) {
   PipelineFixture f;
   auto queue = *f.sim.BlockOn(ShardedQueue<Tensor>::Create(f.ctx()));
