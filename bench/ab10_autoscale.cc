@@ -20,7 +20,8 @@
 // match — the determinism gate) plus the shedding-only baseline, and exits
 // nonzero unless the hot shard split, the baseline shed >=10x more at the
 // hot shard, and the autoscale run's post-settle windowed p99 is inside the
-// SLO. It also writes results/BENCH_ab10.json.
+// SLO. It writes no record: only the full run writes
+// results/BENCH_ab10.json.
 
 #include <algorithm>
 #include <cstdio>
@@ -293,8 +294,6 @@ int Smoke(BenchTrace* trace) {
   const RunResult auto1 = RunOne(Mode::kAutoscale, 1, trace, "smoke_auto_run1");
   const RunResult auto2 = RunOne(Mode::kAutoscale, 1, trace, "smoke_auto_run2");
   const RunResult base = RunOne(Mode::kSheddingOnly, 1, trace, "smoke_base");
-  WriteJson({Row("smoke", Mode::kSheddingOnly, base),
-             Row("smoke", Mode::kAutoscale, auto1)});
   std::printf(
       "ab10 smoke: flash %.1fx on %llu keys, %d hosts\n"
       "  shed-only: goodput %.0f qps, settle p99 %s, hot-shard sheds %lld\n"

@@ -28,6 +28,9 @@
 // the shrinker must reduce the schedule to <= 5 events while it still
 // reproduces, and the SAME schedule through the hardened path must pass.
 // The minimal repro + postmortems land in results/ab11_repro.txt.
+//
+// Only the plain run (the 20-seed sweep, no flags) writes
+// results/BENCH_ab11.json; --smoke, --seeds N and --one write no record.
 
 #include <algorithm>
 #include <cstdio>
@@ -275,7 +278,6 @@ int Smoke() {
   // statistic. Seed 3 runs twice — the digests must match bit for bit.
   const std::vector<uint64_t> reshape_corpus = {3, 7, 11, 19};
   const std::vector<uint64_t> durable_corpus = {5};
-  std::vector<JsonRow> rows;
   int bad = 0;
   std::string digest_first;
   std::string digest_second;
@@ -283,7 +285,6 @@ int Smoke() {
     const ChaosSchedule schedule = MakeSchedule(seed, /*max_crashes=*/2);
     const ChaosRunResult r = RunChaos(schedule, ReshapeProfile());
     PrintRow(seed, "reshape", r);
-    rows.push_back(Row(seed, "reshape", r));
     if (!r.survived) {
       ++bad;
       std::printf("%s", FormatViolations(r.violations).c_str());
@@ -297,13 +298,11 @@ int Smoke() {
     const ChaosSchedule schedule = MakeSchedule(seed, /*max_crashes=*/1);
     const ChaosRunResult r = RunChaos(schedule, DurableProfile());
     PrintRow(seed, "durable", r);
-    rows.push_back(Row(seed, "durable", r));
     if (!r.survived) {
       ++bad;
       std::printf("%s", FormatViolations(r.violations).c_str());
     }
   }
-  WriteJson(rows);
   if (bad > 0) {
     std::printf("ab11 smoke: FAIL — %d corpus schedules not survived\n", bad);
     return 1;
@@ -322,7 +321,7 @@ int Smoke() {
   return 0;
 }
 
-void Main(int seeds) {
+void Main(int seeds, bool write_record) {
   std::printf("=== A11: seeded chaos schedules vs the invariant oracles ===\n");
   std::printf("(%d machines; %s horizon; 8 events/schedule; reshape profile "
               "allows 2 fail-stops with the ledger excusing data that died "
@@ -373,7 +372,9 @@ void Main(int seeds) {
               (outages.empty() ? Duration::Zero() : outages.back())
                   .ToString()
                   .c_str());
-  WriteJson(rows);
+  if (write_record) {
+    WriteJson(rows);
+  }
   if (violated > 0) {
     std::exit(1);
   }
@@ -404,10 +405,10 @@ int main(int argc, char** argv) {
     }
     return r.violations.empty() ? 0 : 1;
   }
-  int seeds = 20;
   if (argc > 2 && std::strcmp(argv[1], "--seeds") == 0) {
-    seeds = std::max(1, std::atoi(argv[2]));
+    quicksand::Main(std::max(1, std::atoi(argv[2])), /*write_record=*/false);
+    return 0;
   }
-  quicksand::Main(seeds);
+  quicksand::Main(20, /*write_record=*/true);
   return 0;
 }

@@ -23,8 +23,9 @@
 //
 // --smoke runs the 2x-capacity point twice with controls on (same-seed
 // digests must match — the determinism gate) plus once with controls off,
-// and exits nonzero unless collapse-without/plateau-with holds. It also
-// writes results/BENCH_ab9.json with {offered, goodput, p99} rows.
+// and exits nonzero unless collapse-without/plateau-with holds. It writes
+// no record: only the full run writes results/BENCH_ab9.json, with
+// {offered, goodput, p99} rows.
 
 #include <cstdio>
 #include <cstring>
@@ -257,7 +258,6 @@ int Smoke(BenchTrace* trace) {
   const RunResult on1 = RunOne(offered, kAllOn, 1, trace, "smoke_on_run1");
   const RunResult on2 = RunOne(offered, kAllOn, 1, trace, "smoke_on_run2");
   const RunResult off = RunOne(offered, kAllOff, 1, trace, "smoke_off");
-  WriteJson({Row("smoke", offered, true, on1), Row("smoke", offered, false, off)});
   std::printf("ab9 smoke: offered %.0f qps (capacity %.0f)\n"
               "  controls on:  goodput %.0f qps, p99 %s, shed %lld, "
               "deadline-rejected %lld\n"

@@ -71,7 +71,9 @@ class FencedKvProclet : public ProcletBase {
   // Everything one side of a split/merge hands the other. Moves the kv
   // entries and their apply counts, and COPIES the donor's dedup knowledge:
   // both halves remembering every acked rid is safe, either half forgetting
-  // one is a double-apply.
+  // one is a double-apply. The copy is the donor's whole executed set, never
+  // pruned: one allocation plus a memcpy on the host, 16 B per id on the
+  // wire (total_bytes), and the receiver unions it in one linear merge.
   struct SplitPayload {
     uint64_t range_begin = 0;  // hash range the entries cover
     uint64_t range_end = 0;
