@@ -22,6 +22,15 @@ namespace {
 BenchTrace* g_trace = nullptr;
 int g_runs = 0;
 
+// One 1 MiB dataset element, carried by size only. The simulator charges
+// wire and heap bytes through WireSizeOf, so this costs exactly what a
+// 1 MiB std::string would (its bytes plus an 8-byte length prefix) without
+// allocating the megabyte.
+struct Blob {
+  int64_t bytes = 0;
+  int64_t WireBytes() const { return bytes + 8; }
+};
+
 struct Outcome {
   double seconds = 0;
   int64_t mem_on_m1 = 0;
@@ -48,13 +57,13 @@ Outcome RunWith(std::unique_ptr<PlacementPolicy> policy) {
   const Ctx ctx = rt.CtxOn(0);
 
   // 4 GiB dataset in 16 MiB shards; per-element compute.
-  ShardedVector<std::string>::Options vec_options;
+  ShardedVector<Blob>::Options vec_options;
   vec_options.max_shard_bytes = 16 * kMiB;
-  auto vec = *sim.BlockOn(ShardedVector<std::string>::Create(ctx, vec_options));
+  auto vec = *sim.BlockOn(ShardedVector<Blob>::Create(ctx, vec_options));
   Outcome outcome;
   constexpr int64_t kElems = 4096;  // x 1 MiB = 4 GiB
   for (int64_t i = 0; i < kElems; ++i) {
-    auto push = vec.PushBack(ctx, std::string(1 * kMiB, 'x'));
+    auto push = vec.PushBack(ctx, Blob{1 * kMiB});
     Result<uint64_t> pushed = sim.BlockOn(std::move(push));
     if (!pushed.ok()) {
       outcome.oom = true;
@@ -74,7 +83,7 @@ Outcome RunWith(std::unique_ptr<PlacementPolicy> policy) {
   par.chunk_elems = 8;
   Status status = sim.BlockOn(ParallelForEach(
       ctx, pool, vec,
-      [](Ctx job_ctx, uint64_t, std::string blob) -> Task<> {
+      [](Ctx job_ctx, uint64_t, Blob) -> Task<> {
         co_await BurnCpu(job_ctx, Duration::Millis(2));
       },
       par));

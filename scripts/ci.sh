@@ -3,16 +3,15 @@
 # the smoke gates (durability, trace determinism, partition failover,
 # overload control, autoscale, chaos, memoization), each of which fails on
 # nondeterminism between two same-seed runs, plus the sim-time record gate
-# (full runs of every deterministic ablation: ab1-3 and ab5-12, each of
-# which writes its results/BENCH_ab*.json; every example's stdout; the
+# (full runs of every deterministic ablation: ab1-12, each of which writes
+# its results/BENCH_ab*.json; every example's stdout; the
 # paper's figures 1-3) and a short run of every micro_sim benchmark. No
 # --smoke run writes a record, nor ab11's --seeds and --one: only a plain
 # full run does. The binaries whose GPU fibers are still parked inside a
 # proclet call at simulator teardown (fig3, dnn_pipeline) also run under
 # ASan/UBSan and must match the same records. It ends by failing if any
 # gate left a committed record under results/ changed. Left out of the
-# record gate: ab4 (peaks at 4.5 GiB RSS) and scale_sim (a host-time
-# record).
+# record gate: scale_sim (a host-time record).
 #
 # Usage: scripts/ci.sh            # full gate
 #        scripts/ci.sh --soak N   # chaos soak only: N seeded schedules
@@ -68,8 +67,8 @@ echo "== scale smoke: event-core digests stable across runs, throughput above fl
 
 echo "== sim-time record gate: ablation, example and figure outputs match the committed records =="
 for bench in ab1_migration_latency ab2_locality_prefetch ab3_split_merge \
-  ab5_lazy_migration ab6_revocation ab7_recovery ab8_partition ab9_overload \
-  ab10_autoscale ab11_chaos ab12_memo; do
+  ab4_placement_policies ab5_lazy_migration ab6_revocation ab7_recovery \
+  ab8_partition ab9_overload ab10_autoscale ab11_chaos ab12_memo; do
   ./build/bench/"$bench" >/dev/null
 done
 for example in quickstart dnn_pipeline filler_app flat_storage_demo kv_rebalance; do
@@ -78,7 +77,7 @@ done
 ./build/bench/fig1_filler_migration > results/fig1_filler_migration.txt
 ./build/bench/fig2_imbalanced_pipeline > results/fig2_imbalanced_pipeline.txt
 ./build/bench/fig3_gpu_adaptation > results/fig3_gpu_adaptation.txt
-git diff --exit-code results/BENCH_ab{1,2,3,5,6,7,8,9,10,11,12}.json \
+git diff --exit-code results/BENCH_ab{1,2,3,4,5,6,7,8,9,10,11,12}.json \
   results/example_*.txt results/fig{1,2,3}_*.txt
 
 echo "== micro_sim: every microbenchmark runs to completion =="

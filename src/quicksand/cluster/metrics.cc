@@ -80,12 +80,6 @@ const std::vector<MetricInfo>& ExportedMetrics() {
        "migrations rejected on a stale epoch"},
       {"fenced_rpcs", "RuntimeStats",
        "stamped requests rejected by fence guards"},
-      // Rpc overload-control counters.
-      {"rpc_budget_denied_retries", "Rpc",
-       "retries refused by the client retry budget"},
-      {"rpc_deadline_rejected", "Rpc",
-       "requests rejected dead-on-arrival at the destination"},
-      {"rpc_shed", "Rpc", "requests shed by admission control"},
       // RuntimeStats counters.
       {"bounce_livelocks", "RuntimeStats",
        "invocations that exhausted the bounce loop"},

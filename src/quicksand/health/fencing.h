@@ -75,8 +75,15 @@ class FenceGuard {
   // of the copy a split hands its new shard. After two shards merge, the
   // survivor must dedup every retry either predecessor had acked; after a
   // split, both sides carry the donor's full dedup knowledge (over-remembering
-  // is safe, forgetting is a double-apply).
-  void Absorb(const FenceGuard& other) {
+  // is safe, forgetting is a double-apply). Taken by value so a caller that
+  // is done with `other` can move it in: an empty guard (a split's fresh
+  // shard) then takes the ids without copying them. The counters stay this
+  // guard's own.
+  void Absorb(FenceGuard other) {
+    if (executed_.empty()) {
+      executed_ = std::move(other.executed_);
+      return;
+    }
     std::vector<uint64_t> merged;
     merged.reserve(executed_.size() + other.executed_.size());
     std::set_union(executed_.begin(), executed_.end(),

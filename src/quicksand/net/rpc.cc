@@ -1,10 +1,6 @@
 #include "quicksand/net/rpc.h"
 
-#include <algorithm>
-
-#include "quicksand/health/failure_detector.h"
-#include "quicksand/overload/admission.h"
-#include "quicksand/overload/retry_budget.h"
+#include "quicksand/common/check.h"
 
 namespace quicksand {
 
@@ -24,164 +20,36 @@ Task<Status> Rpc::LoseRoundTrip(SimTime start, Duration timeout) {
 }
 
 Task<Status> Rpc::RoundTrip(MachineId src, MachineId dst, int64_t request_bytes,
-                            std::function<Task<int64_t>()> server, Duration timeout,
-                            TraceContext trace) {
+                            std::function<Task<int64_t>()> server, Duration timeout) {
   const SimTime start = sim_.Now();
   ++calls_;
-  SpanGuard span;
-  if (tracer_ != nullptr) {
-    trace = tracer_->BeginSpan(trace, src, TraceOp::kRpcAttempt, 0, request_bytes);
-    span = SpanGuard(tracer_, trace, src);
-    tracer_->Instant(trace, src, TraceOp::kRpcSend, 0,
-                     request_bytes + kHeaderBytes);
-  }
   const Delivery request =
       co_await fabric_.TransferDetailed(src, dst, request_bytes + kHeaderBytes);
   if (request == Delivery::kEndpointFailed) {
     ++aborted_;
-    span.End("unavailable");
     co_return Status::Unavailable("rpc request lost: endpoint failed");
   }
   if (request == Delivery::kDropped) {
-    if (tracer_ != nullptr) {
-      tracer_->Instant(trace, src, TraceOp::kRpcDrop, 0, 0, "request");
-    }
-    const Status status = co_await LoseRoundTrip(start, timeout);
-    span.End(StatusCodeName(status.code()));
-    co_return status;
-  }
-  if (tracer_ != nullptr) {
-    tracer_->Instant(trace, dst, TraceOp::kRpcRecv, 0,
-                     request_bytes + kHeaderBytes);
-  }
-  // Server-side admission: reject dead-on-arrival and shed-worthy work
-  // BEFORE the closure runs, paying only a header-sized rejection response.
-  if (trace.ExpiredAt(sim_.Now())) {
-    ++deadline_rejected_;
-    if (tracer_ != nullptr) {
-      tracer_->Instant(trace, dst, TraceOp::kDeadlineExpired, 0,
-                       trace.deadline.nanos());
-    }
-    (void)co_await fabric_.TransferDetailed(dst, src, kHeaderBytes);
-    span.End("deadline_expired");
-    co_return Status::DeadlineExceeded("deadline expired before service");
-  }
-  if (admission_ != nullptr && !admission_->Admit(dst, sim_.Now())) {
-    ++shed_;
-    if (tracer_ != nullptr) {
-      tracer_->Instant(trace, dst, TraceOp::kRpcShed, 0, 0);
-    }
-    (void)co_await fabric_.TransferDetailed(dst, src, kHeaderBytes);
-    span.End("shed");
-    co_return Status::ResourceExhausted("request shed by admission control");
+    co_return co_await LoseRoundTrip(start, timeout);
   }
   const int64_t response_bytes = co_await server();
-  if (tracer_ != nullptr) {
-    tracer_->Instant(trace, dst, TraceOp::kRpcSend, 0,
-                     response_bytes + kHeaderBytes, "response");
-  }
   const Delivery response =
       co_await fabric_.TransferDetailed(dst, src, response_bytes + kHeaderBytes);
   if (response == Delivery::kEndpointFailed) {
     ++aborted_;
-    span.End("unavailable");
     co_return Status::Unavailable("rpc response lost: endpoint failed");
   }
   if (response == Delivery::kDropped) {
     // The server work happened; only the ack vanished (at-least-once).
-    if (tracer_ != nullptr) {
-      tracer_->Instant(trace, dst, TraceOp::kRpcDrop, 0, 0, "response");
-    }
-    const Status status = co_await LoseRoundTrip(start, timeout);
-    span.End(StatusCodeName(status.code()));
-    co_return status;
-  }
-  if (tracer_ != nullptr) {
-    tracer_->Instant(trace, src, TraceOp::kRpcRecv, 0,
-                     response_bytes + kHeaderBytes, "response");
+    co_return co_await LoseRoundTrip(start, timeout);
   }
   const Duration elapsed = sim_.Now() - start;
   latency_.Add(elapsed);
   if (elapsed > timeout) {
     ++timeouts_;
-    span.End("deadline_exceeded");
     co_return Status::DeadlineExceeded("rpc round trip exceeded timeout");
   }
-  span.End("ok");
   co_return Status::Ok();
-}
-
-Task<Status> Rpc::RoundTripWithRetry(MachineId src, MachineId dst,
-                                     int64_t request_bytes,
-                                     std::function<Task<int64_t>()> server,
-                                     Duration timeout, RpcRetryPolicy policy,
-                                     TraceContext trace) {
-  QS_CHECK(policy.max_attempts >= 1);
-  // The retry envelope is one `rpc` span; each attempt nests an
-  // `rpc_attempt` child under it (RoundTrip receives the child stamp).
-  SpanGuard span;
-  if (tracer_ != nullptr) {
-    trace = tracer_->BeginSpan(trace, src, TraceOp::kRpc, 0, request_bytes);
-    span = SpanGuard(tracer_, trace, src);
-  }
-  if (retry_budget_ != nullptr) {
-    retry_budget_->OnAttempt();  // first attempts fund the bucket
-  }
-  Duration backoff = policy.base_backoff;
-  for (int attempt = 0;; ++attempt) {
-    // Materialized first: `server` is a std::function, and passing it by
-    // value inside a co_await operand trips the GCC 12 double-destroy bug
-    // documented in sim/task.h.
-    auto attempt_task =
-        RoundTrip(src, dst, request_bytes, server, timeout, trace);
-    const Status status = co_await std::move(attempt_task);
-    if (status.ok()) {
-      span.End("ok", attempt);
-      co_return status;
-    }
-    // Unavailable means an endpoint's NIC is dead — terminal under
-    // fail-stop, UNLESS the detector merely suspects the destination: a
-    // suspected machine might be partitioned rather than dead, and the
-    // partition might heal. Confirmed-dead stays terminal.
-    // ResourceExhausted is the server shedding load — transient by
-    // definition, retryable, but only through the budget below: shed
-    // retries are exactly how retry storms start.
-    const bool suspected_dst =
-        detector_ != nullptr && detector_->StateOf(dst) == Health::kSuspected;
-    const bool retryable =
-        status.code() == StatusCode::kDeadlineExceeded ||
-        status.code() == StatusCode::kResourceExhausted ||
-        (status.code() == StatusCode::kUnavailable && suspected_dst);
-    if (!retryable) {
-      span.End(StatusCodeName(status.code()), attempt);
-      co_return status;
-    }
-    if (attempt + 1 >= policy.max_attempts) {
-      ++retries_exhausted_;
-      span.End("retries_exhausted", attempt);
-      co_return status;
-    }
-    if (trace.ExpiredAt(sim_.Now())) {
-      // Nothing a retry sends can finish in time; don't add load for it.
-      span.End("deadline_expired", attempt);
-      co_return status;
-    }
-    if (retry_budget_ != nullptr && !retry_budget_->TryAcquireRetry()) {
-      ++budget_denied_retries_;
-      span.End("retry_budget_exhausted", attempt);
-      co_return status;
-    }
-    ++retries_;
-    if (tracer_ != nullptr) {
-      tracer_->Instant(trace, src, TraceOp::kRpcRetry, 0, attempt,
-                       StatusCodeName(status.code()));
-    }
-    const double jitter =
-        1.0 + policy.jitter * (2.0 * rng_.NextDouble() - 1.0);
-    co_await sim_.Sleep(std::min(backoff, policy.max_backoff) *
-                        std::max(jitter, 0.0));
-    backoff = std::min(backoff * policy.multiplier, policy.max_backoff);
-  }
 }
 
 }  // namespace quicksand

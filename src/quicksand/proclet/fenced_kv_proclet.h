@@ -309,7 +309,7 @@ class FencedKvProclet : public ProcletBase {
     for (auto& [key, count] : payload.applies) {
       applies_[key] += count;
     }
-    guard_.Absorb(payload.guard);
+    guard_.Absorb(std::move(payload.guard));
   }
 
   // Log replay target: applies on the backup AND witnesses the request id,

@@ -121,7 +121,7 @@ Task<> Runtime::PayBounce(MachineId stale_target, MachineId caller) {
 }
 
 Task<bool> Runtime::DeliverResponse(MachineId from, MachineId to, int64_t bytes) {
-  for (int attempt = 0; attempt < config_.max_invoke_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxInvokeAttempts; ++attempt) {
     const Delivery delivery = co_await fabric().TransferDetailed(from, to, bytes);
     if (delivery != Delivery::kDropped) {
       // Delivered — or an endpoint fail-stopped, in which case there is
@@ -130,7 +130,7 @@ Task<bool> Runtime::DeliverResponse(MachineId from, MachineId to, int64_t bytes)
       co_return true;
     }
     ++stats_.response_retransmits;
-    co_await sim_.Sleep(config_.invoke_retry_backoff);
+    co_await sim_.Sleep(kInvokeRetryBackoff);
   }
   co_return false;
 }

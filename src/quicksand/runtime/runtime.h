@@ -25,6 +25,7 @@
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "quicksand/cluster/cluster.h"
@@ -98,9 +99,10 @@ class ProcletUnreachableError : public std::runtime_error {
 
 // Thrown when an invocation was rejected at admission by the overload
 // controller: the target machine has a standing queue and queuing more work
-// would only grow it (maps to Status::ResourceExhausted at RPC level). The
-// proclet never ran the call — retrying is safe but should go through a
-// retry budget, and callers with a degraded-mode fallback should prefer it.
+// would only grow it (Ref::TryCall returns the same refusal as a
+// ResourceExhausted Result). The proclet never ran the call — retrying is
+// safe but should go through a retry budget, and callers with a
+// degraded-mode fallback should prefer it.
 class InvocationSheddedError : public std::runtime_error {
  public:
   explicit InvocationSheddedError(ProcletId id)
@@ -131,9 +133,10 @@ class DeadlineExpiredError : public std::runtime_error {
   ProcletId id_;
 };
 
-// Thrown when the resolve/bounce retry loop exhausts max_invoke_attempts
-// while the proclet still exists — a bounce livelock (the proclet keeps
-// migrating out from under the caller), not destruction.
+// Thrown when the resolve/bounce retry loop exhausts
+// Runtime::kMaxInvokeAttempts while the proclet still exists — a bounce
+// livelock (the proclet keeps migrating out from under the caller), not
+// destruction.
 class TooManyBouncesError : public std::runtime_error {
  public:
   TooManyBouncesError(ProcletId id, int attempts)
@@ -150,8 +153,8 @@ class TooManyBouncesError : public std::runtime_error {
 
 // How an invocation hands an admission refusal to its caller. kThrow:
 // InvocationSheddedError or DeadlineExpiredError (Ref::Call). kReturn: a
-// non-OK Result with the codes Rpc::RoundTrip uses for the same refusals,
-// ResourceExhausted (shed) or DeadlineExceeded (Ref::TryCall).
+// non-OK Result, ResourceExhausted (shed) or DeadlineExceeded (Ref::TryCall).
+// Invoke is the only hop that refuses work at admission.
 enum class RefusalExit { kThrow, kReturn };
 
 // Execution context: which machine the current activity runs on, and (when
@@ -181,12 +184,6 @@ struct RuntimeConfig {
   Duration creation_overhead = Duration::Micros(10);
   // Size of control-plane messages (create/ack/redirect/directory lookups).
   int64_t control_message_bytes = 128;
-  // Safety valve on the resolve/bounce retry loop.
-  int max_invoke_attempts = 16;
-  // Pause before re-resolving after an invocation leg was not delivered
-  // (network fault or endpoint death not yet recorded). Each pause consumes
-  // one invoke attempt, so undeliverable calls fail in bounded time.
-  Duration invoke_retry_backoff = Duration::Micros(100);
   // Lazy ("post-copy"-style) migration, after §5's CXL discussion: "we can
   // speed up resource proclet migration by postponing the copying of data".
   // The proclet resumes at the destination right after the fixed overhead;
@@ -482,6 +479,15 @@ class Runtime {
 
   // --- Invocation -------------------------------------------------------------
 
+  // Safety valve on the resolve/bounce retry loop and on response
+  // retransmits.
+  static constexpr int kMaxInvokeAttempts = 16;
+  // Pause before re-resolving after an invocation leg was not delivered
+  // (network fault or endpoint death not yet recorded), and before each
+  // response retransmit. Each pause consumes one attempt, so undeliverable
+  // calls fail in bounded time.
+  static constexpr Duration kInvokeRetryBackoff = Duration::Micros(100);
+
   // Runs `fn(P&)` at the proclet's current machine. `fn` must return
   // Task<R>; the call returns Task<R>. `request_bytes` models the argument
   // payload; the response payload is WireSizeOf(result) automatically.
@@ -686,7 +692,7 @@ auto Runtime::Invoke(Ctx ctx, ProcletId id, Fn fn, int64_t request_bytes)
   }
 
   bool last_undelivered = false;
-  for (int attempt = 0; attempt < config_.max_invoke_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxInvokeAttempts; ++attempt) {
     last_undelivered = false;
     const MachineId target = co_await ResolveLocation(ctx.machine, id);
     if (target == kInvalidMachineId) {
@@ -697,7 +703,7 @@ auto Runtime::Invoke(Ctx ctx, ProcletId id, Fn fn, int64_t request_bytes)
         tracer_->Instant(tctx, ctx.machine, TraceOp::kRpcRetry, id, attempt,
                          "lookup_undelivered");
       }
-      co_await sim_.Sleep(config_.invoke_retry_backoff);
+      co_await sim_.Sleep(kInvokeRetryBackoff);
       continue;
     }
     const bool remote = target != ctx.machine;
@@ -728,7 +734,7 @@ auto Runtime::Invoke(Ctx ctx, ProcletId id, Fn fn, int64_t request_bytes)
           throw ProcletGoneError(id);
         }
         last_undelivered = true;
-        co_await sim_.Sleep(config_.invoke_retry_backoff);
+        co_await sim_.Sleep(kInvokeRetryBackoff);
         continue;
       }
       if (tracer_ != nullptr && request == Delivery::kDelivered) {
@@ -827,71 +833,50 @@ auto Runtime::Invoke(Ctx ctx, ProcletId id, Fn fn, int64_t request_bytes)
     }
 
     P& proclet = static_cast<P&>(*base);
-    if constexpr (std::is_void_v<R>) {
-      try {
+    // One tail for both call shapes: a void call's result slot is a
+    // monostate it never fills, and its response is a bare header.
+    std::optional<std::conditional_t<std::is_void_v<R>, std::monostate, R>> result;
+    int64_t response_bytes = Rpc::kHeaderBytes;
+    try {
+      if constexpr (std::is_void_v<R>) {
         co_await fn(proclet);
-      } catch (...) {
-        base->ExitCall();
-        throw;
+      } else {
+        result.emplace(co_await fn(proclet));
+        response_bytes += WireSizeOf(*result);
       }
+    } catch (...) {
       base->ExitCall();
+      throw;
+    }
+    base->ExitCall();
+    if (base->lost()) {
+      // The host crashed mid-call: the call's effects and result died with it.
+      throw ProcletLostError(id);
+    }
+    if (base->replicated() && base->has_pending_mutations()) {
+      // Ship this call's mutation log to the backup before releasing the
+      // response; durable-ack mode suspends here until acknowledged.
+      co_await base->replication_sink()->Flush(*base);
       if (base->lost()) {
-        // The host crashed mid-call: the call's effects died with it.
+        // Crashed while shipping the log: no ack, so durability of this
+        // call's mutations is unknown — surface as loss like any
+        // mid-call crash.
         throw ProcletLostError(id);
       }
-      if (base->replicated() && base->has_pending_mutations()) {
-        // Ship this call's mutation log to the backup before releasing the
-        // response; durable-ack mode suspends here until acknowledged.
-        co_await base->replication_sink()->Flush(*base);
-        if (base->lost()) {
-          // Crashed while shipping the log: no ack, so durability of this
-          // call's mutations is unknown — surface as loss like any
-          // mid-call crash.
-          throw ProcletLostError(id);
-        }
+    }
+    if (remote) {
+      if (!co_await DeliverResponse(target, ctx.machine, response_bytes)) {
+        // The call ran; only the caller never learned. At-least-once:
+        // resend with the same request id and a FenceGuard dedups it.
+        ++stats_.unreachable_invocations;
+        throw ProcletUnreachableError(id);
       }
-      if (remote) {
-        if (!co_await DeliverResponse(target, ctx.machine, Rpc::kHeaderBytes)) {
-          // The call ran; only the caller never learned. At-least-once:
-          // resend with the same request id and a FenceGuard dedups it.
-          ++stats_.unreachable_invocations;
-          throw ProcletUnreachableError(id);
-        }
-        stats_.remote_invoke_latency.Add(sim_.Now() - started);
-      }
-      invoke_span.End("ok");
+      stats_.remote_invoke_latency.Add(sim_.Now() - started);
+    }
+    invoke_span.End("ok");
+    if constexpr (std::is_void_v<R>) {
       co_return;
     } else {
-      std::optional<R> result;
-      try {
-        result.emplace(co_await fn(proclet));
-      } catch (...) {
-        base->ExitCall();
-        throw;
-      }
-      base->ExitCall();
-      if (base->lost()) {
-        // The host crashed mid-call: the result died with it.
-        throw ProcletLostError(id);
-      }
-      if (base->replicated() && base->has_pending_mutations()) {
-        co_await base->replication_sink()->Flush(*base);
-        if (base->lost()) {
-          throw ProcletLostError(id);
-        }
-      }
-      if (remote) {
-        if (!co_await DeliverResponse(target, ctx.machine,
-                                      WireSizeOf(*result) + Rpc::kHeaderBytes)) {
-          // The call ran and produced a result the caller will never see.
-          // At-least-once: resend with the same request id and a FenceGuard
-          // dedups it.
-          ++stats_.unreachable_invocations;
-          throw ProcletUnreachableError(id);
-        }
-        stats_.remote_invoke_latency.Add(sim_.Now() - started);
-      }
-      invoke_span.End("ok");
       co_return std::move(*result);
     }
   }
@@ -903,7 +888,7 @@ auto Runtime::Invoke(Ctx ctx, ProcletId id, Fn fn, int64_t request_bytes)
   // The proclet exists but kept migrating out from under us — a livelock,
   // not destruction (that case throws inside the loop).
   ++stats_.bounce_livelocks;
-  throw TooManyBouncesError(id, config_.max_invoke_attempts);
+  throw TooManyBouncesError(id, kMaxInvokeAttempts);
 }
 
 }  // namespace quicksand

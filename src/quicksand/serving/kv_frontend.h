@@ -1,6 +1,6 @@
 // KvFrontend: a request-serving tier over FencedKvProclet shards, built to
 // study overload. Each request gets an end-to-end deadline (the SLO), which
-// rides the TraceContext so every hop — RPC admission, proclet invocation —
+// rides the TraceContext so proclet invocation, the one hop with admission,
 // can refuse work that cannot finish in time. The frontend composes all
 // four overload-control levers, each independently toggleable so the ab9
 // bench can show what each buys:

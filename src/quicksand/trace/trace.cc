@@ -16,8 +16,6 @@ const char* TraceOpName(TraceOp op) {
     case TraceOp::kSplit: return "split";
     case TraceOp::kMerge: return "merge";
     case TraceOp::kInvoke: return "invoke";
-    case TraceOp::kRpc: return "rpc";
-    case TraceOp::kRpcAttempt: return "rpc_attempt";
     case TraceOp::kRpcSend: return "rpc_send";
     case TraceOp::kRpcRecv: return "rpc_recv";
     case TraceOp::kRpcRetry: return "rpc_retry";

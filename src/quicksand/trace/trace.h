@@ -88,11 +88,9 @@ enum class TraceOp : uint8_t {
   kSplit,        // shard split (instant, emitted by shard maintenance)
   kMerge,        // shard merge
   kInvoke,       // one proclet method invocation, caller side (span)
-  kRpc,          // Rpc::RoundTripWithRetry envelope (span)
-  kRpcAttempt,   // one Rpc::RoundTrip attempt (span)
   kRpcSend,      // request leg handed to the fabric
   kRpcRecv,      // request leg delivered at the destination
-  kRpcRetry,     // backoff expired, another attempt starts
+  kRpcRetry,     // an invocation backs off before another attempt
   kRpcDrop,      // a leg vanished into a partition/lossy link
   kBounce,       // invocation hit a stale location and was redirected
   kCommit,       // a stamped request was admitted and applied

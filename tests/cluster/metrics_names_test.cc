@@ -66,7 +66,6 @@ TEST(MetricsNamesTest, OverloadAndServingMetricsAreAllRegistered) {
   }
   for (const char* field :
        {"serving_offered_qps", "serving_goodput_qps", "serving_p99_us",
-        "rpc_shed", "rpc_deadline_rejected", "rpc_budget_denied_retries",
         "shed_invocations", "deadline_rejected_invocations", "stale_reads"}) {
     EXPECT_EQ(names.count(field), 1u) << field;
   }

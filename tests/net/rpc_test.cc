@@ -69,109 +69,51 @@ TEST(RpcTest, LocalCallSkipsWire) {
   EXPECT_EQ(f.sim.Now(), SimTime::Zero());
 }
 
-// Server that is slow (times out) for the first `slow_calls` calls, then fast.
-Task<int64_t> FlakyServer(Simulator& sim, int* calls, int slow_calls) {
-  if ((*calls)++ < slow_calls) {
-    co_await sim.Sleep(10_ms);
-  }
+TEST(RpcTest, DeadEndpointIsUnavailable) {
+  RpcFixture f;
+  f.fabric.FailMachine(1);
+  const Status s = f.sim.BlockOn(f.rpc.RoundTrip(0, 1, 64, NoopServer, 1_ms));
+  EXPECT_EQ(s.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(f.rpc.aborted(), 1);
+  EXPECT_EQ(f.rpc.timeouts(), 0);
+}
+
+Task<int64_t> CountingServer(int* runs) {
+  ++*runs;
   co_return 64;
 }
 
-TEST(RpcTest, RetryRecoversFromTransientTimeouts) {
+TEST(RpcTest, DroppedRequestTimesOutAtTheDeadline) {
   RpcFixture f;
-  int calls = 0;
-  RpcRetryPolicy policy;
-  policy.max_attempts = 3;
-  const Status s = f.sim.BlockOn(f.rpc.RoundTripWithRetry(
-      0, 1, 64, [&] { return FlakyServer(f.sim, &calls, 2); }, 1_ms, policy));
-  EXPECT_TRUE(s.ok());
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(f.rpc.retries(), 2);
-  EXPECT_EQ(f.rpc.timeouts(), 2);
-}
-
-TEST(RpcTest, RetryGivesUpAfterMaxAttempts) {
-  RpcFixture f;
-  int calls = 0;
-  RpcRetryPolicy policy;
-  policy.max_attempts = 3;
-  const Status s = f.sim.BlockOn(f.rpc.RoundTripWithRetry(
-      0, 1, 64, [&] { return FlakyServer(f.sim, &calls, 100); }, 1_ms, policy));
-  EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(f.rpc.retries(), 2);
-  EXPECT_EQ(f.rpc.timeouts(), 3);
-}
-
-TEST(RpcTest, RetryBackoffIsDeterministicAndNonZero) {
-  SimTime first_end;
-  {
-    RpcFixture f;
-    int calls = 0;
-    f.sim.BlockOn(f.rpc.RoundTripWithRetry(
-        0, 1, 64, [&] { return FlakyServer(f.sim, &calls, 100); }, 1_ms));
-    first_end = f.sim.Now();
-  }
-  RpcFixture f;
-  int calls = 0;
-  f.sim.BlockOn(f.rpc.RoundTripWithRetry(
-      0, 1, 64, [&] { return FlakyServer(f.sim, &calls, 100); }, 1_ms));
-  EXPECT_EQ(f.sim.Now(), first_end);  // same seed, bit-identical schedule
-  // Three 10ms server rounds plus two jittered backoffs: strictly more than
-  // the no-backoff floor.
-  EXPECT_GT(f.sim.Now() - SimTime::Zero(), 30_ms);
-}
-
-TEST(RpcTest, RetryBackoffIsCappedByMaxBackoff) {
-  // Without the cap, a base of 1ms at x10 would sleep 1 + 10 + 100 + 1000 +
-  // 10000 ms across six attempts. Capped at 2ms the whole schedule is 9ms
-  // of backoff: jitter is zeroed so the bound is exact.
-  RpcFixture f;
-  int calls = 0;
-  RpcRetryPolicy policy;
-  policy.max_attempts = 6;
-  policy.base_backoff = 1_ms;
-  policy.multiplier = 10.0;
-  policy.jitter = 0.0;
-  policy.max_backoff = 2_ms;
+  f.fabric.PartitionOneWay(0, 1);
+  int runs = 0;
   const SimTime start = f.sim.Now();
-  const Status s = f.sim.BlockOn(f.rpc.RoundTripWithRetry(
-      0, 1, 64, [&] { return FlakyServer(f.sim, &calls, 100); }, 1_ms, policy));
+  const Status s = f.sim.BlockOn(
+      f.rpc.RoundTrip(0, 1, 64, [&] { return CountingServer(&runs); }, 1_ms));
   EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(calls, 6);
-  // Six 10ms server rounds plus backoffs of 1, 2, 2, 2, 2 ms — nowhere near
-  // the uncapped schedule's 11+ seconds.
-  const Duration elapsed = f.sim.Now() - start;
-  EXPECT_GE(elapsed, 69_ms);
-  EXPECT_LT(elapsed, 75_ms);
+  // The caller cannot tell loss from slowness: it waits out the timeout.
+  EXPECT_EQ(f.sim.Now(), start + 1_ms);
+  EXPECT_EQ(runs, 0);
+  EXPECT_EQ(f.rpc.lost(), 1);
+  EXPECT_EQ(f.rpc.timeouts(), 1);
+  EXPECT_EQ(f.rpc.aborted(), 0);
+  EXPECT_EQ(f.rpc.latency().count(), 0);
 }
 
-TEST(RpcTest, MaxBackoffAlsoCapsTheFirstSleepWhenBaseExceedsIt) {
+TEST(RpcTest, DroppedResponseTimesOutAfterTheServerRan) {
   RpcFixture f;
-  int calls = 0;
-  RpcRetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.base_backoff = 100_ms;
-  policy.multiplier = 2.0;
-  policy.jitter = 0.0;
-  policy.max_backoff = 1_ms;
-  const Status s = f.sim.BlockOn(f.rpc.RoundTripWithRetry(
-      0, 1, 64, [&] { return FlakyServer(f.sim, &calls, 100); }, 1_ms, policy));
+  f.fabric.PartitionOneWay(1, 0);
+  int runs = 0;
+  const SimTime start = f.sim.Now();
+  const Status s = f.sim.BlockOn(
+      f.rpc.RoundTrip(0, 1, 64, [&] { return CountingServer(&runs); }, 1_ms));
   EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded);
-  // Three 10ms rounds + two 1ms (capped) backoffs.
-  const Duration elapsed = f.sim.Now() - SimTime::Zero();
-  EXPECT_GE(elapsed, 32_ms);
-  EXPECT_LT(elapsed, 35_ms);
-}
-
-TEST(RpcTest, DeadEndpointIsTerminalNotRetried) {
-  RpcFixture f;
-  f.fabric.FailMachine(1);
-  const Status s =
-      f.sim.BlockOn(f.rpc.RoundTripWithRetry(0, 1, 64, NoopServer, 1_ms));
-  EXPECT_EQ(s.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(f.rpc.retries(), 0);
-  EXPECT_EQ(f.rpc.aborted(), 1);
+  EXPECT_EQ(f.sim.Now(), start + 1_ms);
+  // The server work happened; only the response vanished (at-least-once).
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(f.rpc.lost(), 1);
+  EXPECT_EQ(f.rpc.timeouts(), 1);
+  EXPECT_EQ(f.rpc.aborted(), 0);
 }
 
 }  // namespace

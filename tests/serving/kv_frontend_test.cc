@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
+#include "quicksand/cluster/fault_injector.h"
 #include "quicksand/common/bytes.h"
 #include "quicksand/serving/workload.h"
+#include "quicksand/trace/query.h"
 
 namespace quicksand {
 namespace {
@@ -159,6 +162,106 @@ TEST(OpenLoopLoadGenTest, ArrivalCountTracksOfferedRate) {
   // ~1000 expected arrivals; Poisson noise is a few percent at this count.
   EXPECT_GT(gen.arrivals(), 800);
   EXPECT_LT(gen.arrivals(), 1200);
+}
+
+// --- The retry schedule ------------------------------------------------------
+//
+// A one-shard frontend whose shard's host crashed with no recovery armed:
+// every attempt ends in ProcletLostError, which the frontend treats as
+// retryable, so one request runs the retry schedule until something stops
+// it. Each attempt is one `invoke` span at the shard, and a lost shard fails
+// its lookup at the controller (the frontend's home) in zero sim time, so
+// the spans' start times are the schedule itself.
+
+KvFrontendOptions RetryOptions() {
+  KvFrontendOptions opt = LightOptions();
+  opt.shards = 1;
+  opt.deadline_propagation = false;
+  opt.retry_budget = false;
+  opt.max_attempts = 5;
+  opt.retry_backoff = Duration::Micros(100);
+  opt.max_retry_backoff = Duration::Micros(300);
+  return opt;
+}
+
+struct LostShardRun {
+  bool acked = true;
+  std::vector<int64_t> attempt_ns;  // each attempt's start, ns after arrival
+  int64_t elapsed_ns = 0;           // arrival to the request's outcome
+  int64_t retries = 0;
+  int64_t failed = 0;
+  int64_t budget_denied = 0;
+};
+
+LostShardRun ServeAgainstLostShard(const KvFrontendOptions& options) {
+  Fixture f;
+  FaultInjector faults(f.sim, f.cluster);
+  f.rt->AttachFaultInjector(faults);
+  Tracer tracer(f.sim, f.cluster.size());
+  f.rt->AttachTracer(&tracer);
+  KvFrontend frontend(*f.rt, options);
+  EXPECT_TRUE(f.sim.BlockOn(frontend.Start(f.rt->CtxOn(0))).ok());
+  const ProcletId shard = frontend.shards().front().id();
+  faults.FailNow(f.rt->LocationOf(shard));
+
+  LostShardRun run;
+  const SimTime arrival = f.sim.Now();
+  run.acked = f.sim.BlockOn(frontend.ServeDetailed(/*key=*/7, /*is_read=*/true));
+  run.elapsed_ns = (f.sim.Now() - arrival).nanos();
+  for (const TraceSpan& span :
+       TraceQuery::FromTracer(tracer).SpansOf(TraceOp::kInvoke)) {
+    if (span.proclet == shard) {
+      run.attempt_ns.push_back((span.begin - arrival).nanos());
+    }
+  }
+  run.retries = frontend.retries();
+  run.failed = frontend.failed();
+  run.budget_denied = frontend.budget().denied();
+  return run;
+}
+
+TEST(KvFrontendRetryTest, RetryableAttemptsRunMaxAttemptsWithCappedDoubling) {
+  const LostShardRun run = ServeAgainstLostShard(RetryOptions());
+  EXPECT_FALSE(run.acked);
+  EXPECT_EQ(run.failed, 1);
+  EXPECT_EQ(run.retries, 4);  // max_attempts - 1
+  // Backoffs of 100, 200, 300 (capped), 300 us between the five attempts;
+  // none after the last.
+  EXPECT_EQ(run.attempt_ns,
+            (std::vector<int64_t>{0, 100'000, 300'000, 600'000, 900'000}));
+  EXPECT_EQ(run.elapsed_ns, 900'000);
+}
+
+TEST(KvFrontendRetryTest, EmptyRetryBudgetStopsTheFirstRetry) {
+  KvFrontendOptions options = RetryOptions();
+  options.retry_budget = true;
+  options.budget.ratio = 0.0;     // first attempts earn nothing
+  options.budget.capacity = 0.5;  // and the bucket never holds a whole token
+  const LostShardRun run = ServeAgainstLostShard(options);
+  EXPECT_FALSE(run.acked);
+  EXPECT_EQ(run.failed, 1);
+  EXPECT_EQ(run.retries, 0);
+  EXPECT_EQ(run.budget_denied, 1);
+  EXPECT_EQ(run.attempt_ns, std::vector<int64_t>{0});
+  EXPECT_EQ(run.elapsed_ns, 0);
+}
+
+TEST(KvFrontendRetryTest, DeadlinePropagationGivesUpOncePastTheSlo) {
+  KvFrontendOptions options = RetryOptions();
+  options.deadline_propagation = true;
+  options.slo = Duration::Micros(300);
+  options.max_attempts = 10;
+  options.max_retry_backoff = Duration::Millis(10);
+  const LostShardRun run = ServeAgainstLostShard(options);
+  EXPECT_FALSE(run.acked);
+  EXPECT_EQ(run.failed, 1);
+  // The attempt at 300 us fails exactly at the deadline, not past it, so the
+  // request backs off once more; the attempt at 700 us is past it and the
+  // client gives up instead of sleeping again.
+  EXPECT_EQ(run.retries, 3);
+  EXPECT_EQ(run.attempt_ns,
+            (std::vector<int64_t>{0, 100'000, 300'000, 700'000}));
+  EXPECT_EQ(run.elapsed_ns, 700'000);
 }
 
 }  // namespace

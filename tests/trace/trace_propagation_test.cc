@@ -1,7 +1,7 @@
-// TraceContext propagation across the layers that forward it: the RPC
-// retry/backoff loop, proclet invocation, and epoch-fenced migration. The
-// load-bearing assertion: a stale-epoch request shows up in the trace as an
-// `abort`, and NEVER as a `commit`.
+// TraceContext propagation across the layers that forward it: proclet
+// invocation and epoch-fenced migration. The load-bearing assertion: a
+// stale-epoch request shows up in the trace as an `abort`, and NEVER as a
+// `commit`.
 
 #include <gtest/gtest.h>
 
@@ -9,72 +9,11 @@
 #include <memory>
 
 #include "quicksand/common/bytes.h"
-#include "quicksand/net/rpc.h"
 #include "quicksand/proclet/fenced_kv_proclet.h"
 #include "quicksand/trace/query.h"
 
 namespace quicksand {
 namespace {
-
-Task<int64_t> FlakyServer(Simulator& sim, int* calls, int slow_calls) {
-  if ((*calls)++ < slow_calls) {
-    co_await sim.Sleep(10_ms);
-  }
-  co_return 64;
-}
-
-TEST(TracePropagationTest, RetryLoopNestsAttemptsUnderOneEnvelope) {
-  Simulator sim;
-  Fabric fabric{sim, FabricConfig{}};
-  fabric.AddNic(0);
-  fabric.AddNic(1);
-  Rpc rpc{sim, fabric};
-  Tracer tracer(sim, 2);
-  rpc.AttachTracer(&tracer);
-
-  int calls = 0;
-  RpcRetryPolicy policy;
-  policy.max_attempts = 3;
-  const Status s = sim.BlockOn(rpc.RoundTripWithRetry(
-      0, 1, 64, [&] { return FlakyServer(sim, &calls, 2); }, 1_ms, policy));
-  ASSERT_TRUE(s.ok());
-
-  TraceQuery query = TraceQuery::FromTracer(tracer);
-
-  // One envelope span, three attempt spans, all in the same causal tree.
-  const std::vector<TraceSpan> envelopes = query.SpansOf(TraceOp::kRpc);
-  ASSERT_EQ(envelopes.size(), 1u);
-  EXPECT_TRUE(envelopes[0].ended);
-  EXPECT_STREQ(envelopes[0].detail, "ok");
-  EXPECT_EQ(envelopes[0].end_arg, 2);  // succeeded on attempt index 2
-
-  const std::vector<TraceSpan> attempts = query.SpansOf(TraceOp::kRpcAttempt);
-  ASSERT_EQ(attempts.size(), 3u);
-  for (const TraceSpan& attempt : attempts) {
-    EXPECT_EQ(attempt.trace_id, envelopes[0].trace_id);
-    EXPECT_EQ(attempt.parent, envelopes[0].id);
-  }
-  EXPECT_STREQ(attempts[0].detail, "deadline_exceeded");
-  EXPECT_STREQ(attempts[1].detail, "deadline_exceeded");
-  EXPECT_STREQ(attempts[2].detail, "ok");
-
-  // Two backoff instants, carrying the retried status, ordered between the
-  // failed attempt and the next one.
-  const std::vector<TraceEvent> retries = query.Instants(TraceOp::kRpcRetry);
-  ASSERT_EQ(retries.size(), 2u);
-  for (const TraceEvent& retry : retries) {
-    EXPECT_EQ(retry.trace_id, envelopes[0].trace_id);
-    EXPECT_STREQ(retry.detail, "DEADLINE_EXCEEDED");
-  }
-  EXPECT_TRUE(query.HappensBefore(attempts[0], retries[0]));
-  EXPECT_TRUE(query.HappensBefore(retries[0], attempts[1]));
-  EXPECT_TRUE(query.HappensBefore(attempts[1], retries[1]));
-  EXPECT_TRUE(query.HappensBefore(retries[1], attempts[2]));
-
-  EXPECT_TRUE(query.SingleCausalTree(envelopes[0].trace_id));
-  // Request legs landed on both machines: the tree is cross-machine.
-  EXPECT_EQ(query.MachinesInTrace(envelopes[0].trace_id).size(), 2u);
-}
 
 struct RuntimeFixture {
   Simulator sim;

@@ -58,8 +58,7 @@ TEST(TracerTest, ChildSpansOnOtherMachinesFormOneCausalTree) {
   Tracer tracer(sim, 3);
 
   const TraceContext root = tracer.BeginSpan(TraceContext{}, 0, TraceOp::kRecover);
-  const TraceContext child_a =
-      tracer.BeginSpan(root, 1, TraceOp::kRpcAttempt);
+  const TraceContext child_a = tracer.BeginSpan(root, 1, TraceOp::kInvoke);
   tracer.Instant(child_a, 2, TraceOp::kRpcRecv);
   tracer.EndSpan(child_a, 1);
   const TraceContext child_b = tracer.BeginSpan(root, 2, TraceOp::kMigrate);
