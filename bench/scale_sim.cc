@@ -4,18 +4,18 @@
 // throughput bounds how large a cluster (machines x proclets) and how long a
 // simulated horizon any bench can afford. This bench drives the core with the
 // mix that dominates real runs — zero-delay yields (the now lane), short
-// timed sleeps, armed-then-cancelled timeouts (the RPC-timeout pattern), and
-// mutex park/wake — across a sweep of machine count x proclet count up to
-// 1000 machines / 1M proclets, and reports events/sec plus
-// sim-seconds-per-wall-second. A raw schedule/cancel/fire row isolates the
+// timed sleeps, and mutex park/wake — across a sweep of machine count x
+// proclet count up to 1000 machines / 1M proclets, and reports events/sec
+// plus sim-seconds-per-wall-second. A raw schedule/fire row isolates the
 // event queue itself from coroutine overhead.
 //
 // Results land in results/BENCH_scale.json (one row per cell) so the perf
 // trajectory is visible across PRs.
 //
-// --smoke: fixed small sweep, two same-seed runs must produce identical
-// digests (the determinism gate), and events/sec must clear a deliberately
-// generous floor so CI noise cannot flake it.
+// --smoke: fixed small sweep. Each cell's digest hashes the event order it
+// observed and must equal a pinned constant, so a core that reorders events
+// fails it; events/sec must clear a deliberately generous floor so CI noise
+// cannot flake it.
 
 #include <chrono>
 #include <cstdio>
@@ -56,8 +56,7 @@ struct Rng {
 };
 
 struct Counters {
-  int64_t events = 0;        // resumptions observed by the workload fibers
-  int64_t timeouts_fired = 0;
+  int64_t events = 0;            // resumptions observed by the workload fibers
   uint64_t digest = kFnvOffset;  // order-sensitive: hashes the interleaving
 };
 
@@ -69,8 +68,7 @@ struct MachineCtx {
 
 // One simulated proclet: the await mix of a serving/compute fiber. Yields
 // dominate (as they do in the real runtime: Spawn, Yield, and WakeJoiners all
-// schedule at zero delay), sleeps exercise the timed tier, and the
-// armed-then-cancelled timeout is the RPC pattern that stresses Cancel.
+// schedule at zero delay), and sleeps exercise the timed heap.
 Task<> ProcletLoop(Simulator& sim, MachineCtx& m, WaitGroup& wg,
                    uint64_t fiber_seed, int iters, Counters& c) {
   Rng rng{fiber_seed};
@@ -79,11 +77,8 @@ Task<> ProcletLoop(Simulator& sim, MachineCtx& m, WaitGroup& wg,
     ++c.events;
     co_await sim.Yield();
     ++c.events;
-    const EventId timeout =
-        sim.Schedule(Duration::Millis(1), [&c] { ++c.timeouts_fired; });
     co_await sim.Sleep(Duration::Micros(1 + static_cast<int64_t>(rng.Next() % 197)));
     ++c.events;
-    sim.Cancel(timeout);
     if ((i & 3) == 0) {
       co_await m.mu.Lock();
       ++c.events;
@@ -146,7 +141,6 @@ CellResult RunCell(int machines, int64_t proclets, int iters, uint64_t seed) {
     digest = Fnv(digest, static_cast<uint64_t>(m->acquisitions));
   }
   digest = Fnv(digest, static_cast<uint64_t>(sim.Now().nanos()));
-  digest = Fnv(digest, static_cast<uint64_t>(c.timeouts_fired));
   r.digest = digest;
   char label[64];
   std::snprintf(label, sizeof(label), "fibers_%dx%lld", machines,
@@ -155,18 +149,18 @@ CellResult RunCell(int machines, int64_t proclets, int iters, uint64_t seed) {
   return r;
 }
 
-// Raw event-queue row: no coroutines, just schedule/cancel/fire churn. This
-// isolates the queue's slot + ordering machinery from fiber frame costs.
+// Raw event-queue row: no coroutines, just schedule/fire churn. This
+// isolates the queue's ordering machinery from fiber frame costs.
 CellResult RunRawEvents(int64_t count, uint64_t seed) {
   Simulator sim;
   Rng rng{seed};
   int64_t fired = 0;
   uint64_t digest = kFnvOffset;
   const auto start = std::chrono::steady_clock::now();
-  std::vector<EventId> armed;
-  armed.reserve(64);
-  // Schedule in bursts from inside the event loop so cancellation hits both
-  // pending-soon and pending-late events, as RPC timeouts do.
+  // Bursts of 64 slots: even slots fire at zero delay, odd slots draw a
+  // 1-97 µs delay. Every 8th slot draws its delay but schedules nothing, so
+  // a burst holds 56 events (32 in the now lane, 24 timed) and the cell
+  // keeps the delay sequence its pinned digest was taken with.
   constexpr int kBurst = 64;
   const int64_t bursts = count / kBurst;
   for (int64_t b = 0; b < bursts; ++b) {
@@ -175,15 +169,10 @@ CellResult RunRawEvents(int64_t count, uint64_t seed) {
                                  ? Duration::Zero()
                                  : Duration::Micros(1 + static_cast<int64_t>(
                                                            rng.Next() % 97));
-      const EventId id = sim.Schedule(delay, [&fired] { ++fired; });
-      if ((i & 7) == 3) {
-        armed.push_back(id);  // every 8th is a timeout that will not fire
+      if ((i & 7) != 3) {
+        sim.Schedule(delay, [&fired] { ++fired; });
       }
     }
-    for (const EventId id : armed) {
-      sim.Cancel(id);
-    }
-    armed.clear();
     sim.RunUntilIdle();
     digest = Fnv(digest, static_cast<uint64_t>(fired));
     digest = Fnv(digest, static_cast<uint64_t>(sim.Now().nanos()));
@@ -203,68 +192,6 @@ CellResult RunRawEvents(int64_t count, uint64_t seed) {
   r.sim_per_wall = r.wall_ms > 0.0 ? r.sim_seconds / (r.wall_ms / 1e3) : 0.0;
   r.digest = digest;
   r.label = "raw_events";
-  return r;
-}
-
-// Timeout-churn row: the RPC-timeout lifecycle at open-loop rate. Every RPC
-// arms a guard timer far in the future (10ms) and cancels it a few µs later
-// when the reply lands, so almost no timer ever fires — the queue's job is to
-// absorb arm/cancel churn while holding a large population of doomed entries.
-// This is the pattern that separates eager cancellation (slot freed at Cancel,
-// 24-byte tombstone skipped on pop) from lazy deletion that retains the full
-// callback until its deadline. Throughput counts operations (arm + cancel +
-// fire), since fires are rare by construction.
-CellResult RunTimeoutChurn(int64_t ops, uint64_t seed) {
-  Simulator sim;
-  Rng rng{seed};
-  int64_t fired = 0;
-  int64_t counted_ops = 0;
-  uint64_t digest = kFnvOffset;
-  constexpr int kBurst = 64;
-  // Two bursts stay in flight: cancel the batch armed two rounds ago, so
-  // every timer lives ~20µs of sim time against a 10ms deadline.
-  std::vector<EventId> prev;
-  std::vector<EventId> cur;
-  prev.reserve(kBurst);
-  cur.reserve(kBurst);
-  const auto start = std::chrono::steady_clock::now();
-  while (counted_ops < ops) {
-    for (int i = 0; i < kBurst; ++i) {
-      const Duration guard =
-          Duration::Micros(10'000 + static_cast<int64_t>(rng.Next() % 500));
-      cur.push_back(sim.Schedule(guard, [&fired] { ++fired; }));
-    }
-    counted_ops += kBurst;
-    for (const EventId id : prev) {
-      sim.Cancel(id);
-    }
-    counted_ops += static_cast<int64_t>(prev.size());
-    prev.swap(cur);
-    cur.clear();
-    sim.RunFor(Duration::Micros(10));
-    digest = Fnv(digest, static_cast<uint64_t>(fired));
-    digest = Fnv(digest, static_cast<uint64_t>(sim.Now().nanos()));
-  }
-  // Let the tail drain so the digest covers the stragglers that do fire.
-  sim.RunUntilIdle();
-  counted_ops += fired;
-  digest = Fnv(digest, static_cast<uint64_t>(fired));
-  const auto end = std::chrono::steady_clock::now();
-
-  CellResult r;
-  r.machines = 0;
-  r.proclets = 0;
-  r.events = counted_ops;
-  r.wall_ms =
-      std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
-          end - start)
-          .count();
-  r.events_per_sec =
-      r.wall_ms > 0.0 ? 1e3 * static_cast<double>(counted_ops) / r.wall_ms : 0.0;
-  r.sim_seconds = sim.Now().seconds();
-  r.sim_per_wall = r.wall_ms > 0.0 ? r.sim_seconds / (r.wall_ms / 1e3) : 0.0;
-  r.digest = digest;
-  r.label = "timeout_churn";
   return r;
 }
 
@@ -304,30 +231,29 @@ void WriteJson(const std::vector<CellResult>& rows) {
 constexpr double kSmokeEventsPerSecFloor = 100e3;
 
 int Smoke() {
-  std::vector<CellResult> first;
-  std::vector<CellResult> second;
-  for (int run = 0; run < 2; ++run) {
-    std::vector<CellResult>& out = run == 0 ? first : second;
-    out.push_back(RunCell(8, 512, 40, 1));
-    out.push_back(RunCell(64, 4096, 10, 1));
-    out.push_back(RunRawEvents(1 << 18, 1));
-    out.push_back(RunTimeoutChurn(1 << 16, 1));
-  }
+  // Pinned digests: the (time, seq) event order each cell must reproduce.
+  struct SmokeCell {
+    CellResult result;
+    uint64_t want_digest;
+  };
+  const SmokeCell cells[] = {
+      {RunCell(8, 512, 40, 1), 0x02fd7626675272c5ull},
+      {RunCell(64, 4096, 10, 1), 0xf376c41e419713dcull},
+      {RunRawEvents(1 << 18, 1), 0xc075d1a2b05057afull},
+  };
   std::printf("scale_sim smoke:\n");
-  for (const CellResult& r : first) {
-    PrintRow(r);
+  for (const SmokeCell& cell : cells) {
+    PrintRow(cell.result);
   }
-  for (size_t i = 0; i < first.size(); ++i) {
-    if (first[i].digest != second[i].digest) {
-      std::printf("scale_sim smoke: FAIL — same-seed digests diverged for %s "
-                  "(%016llx vs %016llx)\n",
-                  first[i].label.c_str(),
-                  static_cast<unsigned long long>(first[i].digest),
-                  static_cast<unsigned long long>(second[i].digest));
+  for (const SmokeCell& cell : cells) {
+    const CellResult& r = cell.result;
+    if (r.digest != cell.want_digest) {
+      std::printf("scale_sim smoke: FAIL — %s digest %016llx, pinned %016llx: "
+                  "the event order changed\n",
+                  r.label.c_str(), static_cast<unsigned long long>(r.digest),
+                  static_cast<unsigned long long>(cell.want_digest));
       return 1;
     }
-  }
-  for (const CellResult& r : first) {
     if (r.events_per_sec < kSmokeEventsPerSecFloor) {
       std::printf("scale_sim smoke: FAIL — %s ran at %.0f ev/s, below the "
                   "%.0f ev/s floor\n",
@@ -335,8 +261,8 @@ int Smoke() {
       return 1;
     }
   }
-  std::printf("scale_sim smoke: PASS (deterministic, above the throughput "
-              "floor)\n");
+  std::printf("scale_sim smoke: PASS (pinned event order, above the "
+              "throughput floor)\n");
   return 0;
 }
 
@@ -344,8 +270,6 @@ void Main() {
   std::printf("=== scale_sim: event-core throughput, machines x proclets ===\n");
   std::vector<CellResult> rows;
   rows.push_back(RunRawEvents(4 << 20, 1));
-  PrintRow(rows.back());
-  rows.push_back(RunTimeoutChurn(4 << 20, 1));
   PrintRow(rows.back());
   struct Cell {
     int machines;

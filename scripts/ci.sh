@@ -62,7 +62,7 @@ echo "== chaos smoke: fixed schedule corpus survives; the reintroduced reshape b
 echo "== memo smoke: hit-rate, cache-first harvest and stale-serve gates, deterministically =="
 ./build/bench/ab12_memo --smoke
 
-echo "== scale smoke: event-core digests stable across runs, throughput above floor =="
+echo "== scale smoke: event-core digests match the pinned event order, throughput above floor =="
 ./build/bench/scale_sim --smoke
 
 echo "== sim-time record gate: ablation, example and figure outputs match the committed records =="

@@ -80,47 +80,7 @@ Simulator::~Simulator() {
   }
   live_fiber_count_ = 0;
   Logger::Get().ClearClock();
-  // The slots_ and now_lane_ destructors release any still-pending callbacks.
-}
-
-// --- Event slab -------------------------------------------------------------
-
-EventId Simulator::AllocSlot(SmallFn fn) {
-  uint32_t index;
-  if (free_head_ != kNoSlot) {
-    index = free_head_;
-    free_head_ = slots_[index].next_free;
-  } else {
-    QS_CHECK_MSG(slots_.size() < static_cast<size_t>(UINT32_MAX) - 1,
-                 "event slab exhausted");
-    slots_.emplace_back();
-    index = static_cast<uint32_t>(slots_.size() - 1);
-  }
-  EventSlot& slot = slots_[index];
-  ++slot.gen;  // even (free) -> odd (live)
-  QS_DCHECK((slot.gen & 1u) == 1u);
-  slot.fn = std::move(fn);
-  return (static_cast<EventId>(index) + 1) << 32 | slot.gen;
-}
-
-Simulator::EventSlot* Simulator::ResolveLive(EventId id) {
-  const uint64_t index_plus_1 = id >> 32;
-  if (index_plus_1 == 0 || index_plus_1 > slots_.size()) {
-    return nullptr;
-  }
-  EventSlot& slot = slots_[index_plus_1 - 1];
-  if (slot.gen != static_cast<uint32_t>(id)) {
-    return nullptr;  // already fired or cancelled (possibly slot reused)
-  }
-  return &slot;
-}
-
-void Simulator::FreeSlot(EventId id) {
-  const uint32_t index = static_cast<uint32_t>((id >> 32) - 1);
-  EventSlot& slot = slots_[index];
-  ++slot.gen;  // odd (live) -> even (free): outstanding ids become stale
-  slot.next_free = free_head_;
-  free_head_ = index;
+  // The now_lane_ and fns_ destructors release any still-pending callbacks.
 }
 
 // --- Now lane ---------------------------------------------------------------
@@ -128,7 +88,7 @@ void Simulator::FreeSlot(EventId id) {
 void Simulator::GrowNowLane() {
   const size_t old_cap = now_lane_.size();
   const size_t new_cap = old_cap == 0 ? 64 : old_cap * 2;
-  std::vector<NowEntry> grown(new_cap);
+  std::vector<SmallFn> grown(new_cap);
   for (size_t i = 0; i < now_count_; ++i) {
     grown[i] = std::move(now_lane_[(now_head_ + i) & (old_cap - 1)]);
   }
@@ -136,92 +96,35 @@ void Simulator::GrowNowLane() {
   now_head_ = 0;
 }
 
-void Simulator::NowLanePush(NowEntry entry) {
+void Simulator::NowLanePush(SmallFn fn) {
   if (now_count_ == now_lane_.size()) {
     GrowNowLane();
   }
-  now_lane_[(now_head_ + now_count_) & (now_lane_.size() - 1)] =
-      std::move(entry);
+  now_lane_[(now_head_ + now_count_) & (now_lane_.size() - 1)] = std::move(fn);
   ++now_count_;
 }
 
-Simulator::NowEntry Simulator::NowLanePop() {
+SmallFn Simulator::NowLanePop() {
   QS_DCHECK(now_count_ > 0);
-  NowEntry entry = std::move(now_lane_[now_head_]);
+  SmallFn fn = std::move(now_lane_[now_head_]);
   now_head_ = (now_head_ + 1) & (now_lane_.size() - 1);
   --now_count_;
-  return entry;
-}
-
-// --- Timed tiers ------------------------------------------------------------
-
-void Simulator::HeapPush(TimedEntry entry) {
-  heap_.push_back(entry);
-  std::push_heap(heap_.begin(), heap_.end(), TimedGreater{});
-}
-
-void Simulator::RungInsert(TimedEntry entry) {
-  if (rung_.size() - rung_pos_ >= kMaxRungEntries) {
-    HeapPush(entry);  // dense window: bail before the insert turns O(n)
-    return;
-  }
-  // New entries carry the largest seq so far, so upper_bound on (time, seq)
-  // degenerates to "after every entry with time <= entry.time" — for the
-  // common monotone-timer pattern that is the tail, an O(1) append.
-  auto it = std::upper_bound(
-      rung_.begin() + static_cast<ptrdiff_t>(rung_pos_), rung_.end(), entry,
-      [](const TimedEntry& a, const TimedEntry& b) {
-        if (a.time_ns != b.time_ns) {
-          return a.time_ns < b.time_ns;
-        }
-        return a.seq < b.seq;
-      });
-  if (it != rung_.end()) {
-    HeapPush(entry);  // mid-run insert would memmove the tail
-    return;
-  }
-  rung_.push_back(entry);
-}
-
-void Simulator::RefillRung() {
-  QS_DCHECK(rung_pos_ == rung_.size());
-  rung_.clear();
-  rung_pos_ = 0;
-  if (heap_.empty()) {
-    return;
-  }
-  // Window the rung at the heap's minimum; successive min-heap pops emerge
-  // in (time, seq) order, so the rung is born sorted. The batch is capped —
-  // in-window entries left behind (or overflowed by RungInsert) are merged
-  // back in by Step()'s front comparison.
-  rung_end_ns_ = heap_.front().time_ns + kRungWidthNs;
-  while (!heap_.empty() && heap_.front().time_ns < rung_end_ns_ &&
-         rung_.size() < kMaxRungEntries) {
-    rung_.push_back(heap_.front());
-    std::pop_heap(heap_.begin(), heap_.end(), TimedGreater{});
-    heap_.pop_back();
-  }
+  return fn;
 }
 
 std::optional<int64_t> Simulator::EarliestEntryTimeNs() const {
   if (now_count_ > 0) {
-    // Now-lane entries are at now_, which lower-bounds every timed entry.
-    return now_.nanos();
+    return now_.nanos();  // now-lane entries are at now_, before every timed one
   }
-  std::optional<int64_t> earliest;
-  if (rung_pos_ < rung_.size()) {
-    earliest = rung_[rung_pos_].time_ns;
+  if (!heap_.empty()) {
+    return heap_.front().time_ns;
   }
-  if (!heap_.empty() &&
-      (!earliest.has_value() || heap_.front().time_ns < *earliest)) {
-    earliest = heap_.front().time_ns;
-  }
-  return earliest;
+  return std::nullopt;
 }
 
 // --- Scheduling -------------------------------------------------------------
 
-EventId Simulator::Schedule(Duration delay, SmallFn fn) {
+void Simulator::Schedule(Duration delay, SmallFn fn) {
   if (delay < Duration::Zero()) {
     // Negative delays arise legitimately from absolute-time arithmetic on
     // deadlines already in the past (SleepUntil(t) with t < Now(), re-arming
@@ -236,107 +139,63 @@ EventId Simulator::Schedule(Duration delay, SmallFn fn) {
                   "past deadline");
     delay = Duration::Zero();
   }
-  return ScheduleAt(now_ + delay, std::move(fn));
+  ScheduleAt(now_ + delay, std::move(fn));
 }
 
-EventId Simulator::ScheduleAt(SimTime when, SmallFn fn) {
+void Simulator::ScheduleAt(SimTime when, SmallFn fn) {
   if (tearing_down_) {
-    return kInvalidEventId;
+    return;  // drop wakeups scheduled by dying fibers
   }
   QS_CHECK_MSG(when >= now_, "cannot schedule an event in the past");
-  const EventId id = AllocSlot(std::move(fn));
-  const uint64_t seq = next_seq_++;
-  ++live_events_;
   if (when == now_) {
-    NowLanePush(NowEntry{id, {}});  // seq is implicit: the ring is FIFO
-  } else if (when.nanos() < rung_end_ns_) {
-    RungInsert(TimedEntry{when.nanos(), seq, id});
-  } else {
-    HeapPush(TimedEntry{when.nanos(), seq, id});
+    NowLanePush(std::move(fn));  // seq is implicit: the ring is FIFO
+    return;
   }
-  return id;
+  uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    fns_[slot] = std::move(fn);
+  } else {
+    QS_CHECK_MSG(fns_.size() < UINT32_MAX, "timed-event pool exhausted");
+    slot = static_cast<uint32_t>(fns_.size());
+    fns_.push_back(std::move(fn));
+  }
+  heap_.push_back(TimedEntry{when.nanos(), next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), TimedGreater{});
 }
 
 void Simulator::Post(SmallFn fn) {
   if (tearing_down_) {
-    return;  // mirror ScheduleAt: drop wakeups scheduled by dying fibers
+    return;  // mirror ScheduleAt
   }
-  ++live_events_;
-  NowLanePush(NowEntry{kInvalidEventId, std::move(fn)});
-}
-
-void Simulator::Cancel(EventId id) {
-  EventSlot* slot = ResolveLive(id);
-  if (slot == nullptr) {
-    return;  // unknown, already fired, or already cancelled
-  }
-  slot->fn.Reset();
-  FreeSlot(id);
-  --live_events_;
-  // The queue entry (now lane, rung, or heap) remains and is skipped lazily
-  // when popped: its generation no longer matches.
+  NowLanePush(std::move(fn));
 }
 
 // --- Execution --------------------------------------------------------------
 
 bool Simulator::Step() {
-  for (;;) {
-    if (rung_pos_ == rung_.size() && now_count_ == 0) {
-      if (heap_.empty()) {
-        return false;
-      }
-      RefillRung();
-    }
-    // Merge the rung and heap fronts into one timed candidate (the rung
-    // usually holds the minimum, but a dense window overflows to the heap).
-    const TimedEntry* timed = rung_pos_ < rung_.size() ? &rung_[rung_pos_] : nullptr;
-    bool from_heap = false;
-    if (!heap_.empty() &&
-        (timed == nullptr || TimedGreater{}(*timed, heap_.front()))) {
-      timed = &heap_.front();
-      from_heap = true;
-    }
-    int64_t time_ns;
-    SmallFn fn;
-    // A timed entry at time == now_ was scheduled before now_ reached that
-    // time, hence precedes every now-lane entry (scheduled at now_) in
-    // sequence order: timed-at-now fires before the now lane.
-    if (timed != nullptr && (now_count_ == 0 || timed->time_ns <= now_.nanos())) {
-      time_ns = timed->time_ns;
-      const EventId id = timed->id;
-      if (from_heap) {
-        std::pop_heap(heap_.begin(), heap_.end(), TimedGreater{});
-        heap_.pop_back();
-      } else {
-        ++rung_pos_;
-      }
-      EventSlot* slot = ResolveLive(id);
-      if (slot == nullptr) {
-        continue;  // cancelled: skip and keep draining
-      }
-      fn = std::move(slot->fn);
-      FreeSlot(id);
-    } else {
-      NowEntry entry = NowLanePop();
-      time_ns = now_.nanos();
-      if (entry.id == kInvalidEventId) {
-        fn = std::move(entry.fn);  // inline Post() event: nothing to resolve
-      } else {
-        EventSlot* slot = ResolveLive(entry.id);
-        if (slot == nullptr) {
-          continue;  // cancelled: skip and keep draining
-        }
-        fn = std::move(slot->fn);
-        FreeSlot(entry.id);
-      }
-    }
-    --live_events_;
-    ++fired_events_;
-    QS_DCHECK(time_ns >= now_.nanos());
-    now_ = SimTime::FromNanos(time_ns);
-    fn();
-    return true;
+  SmallFn fn;
+  // A timed entry at time == now_ was scheduled before now_ reached that
+  // time, hence precedes every now-lane entry (scheduled at now_) in
+  // sequence order: timed-at-now fires before the now lane.
+  if (!heap_.empty() &&
+      (now_count_ == 0 || heap_.front().time_ns <= now_.nanos())) {
+    const TimedEntry top = heap_.front();
+    std::pop_heap(heap_.begin(), heap_.end(), TimedGreater{});
+    heap_.pop_back();
+    QS_DCHECK(top.time_ns >= now_.nanos());
+    now_ = SimTime::FromNanos(top.time_ns);
+    fn = std::move(fns_[top.slot]);
+    free_slots_.push_back(top.slot);
+  } else if (now_count_ > 0) {
+    fn = NowLanePop();
+  } else {
+    return false;
   }
+  ++fired_events_;
+  fn();
+  return true;
 }
 
 void Simulator::RunUntilIdle() {

@@ -6,32 +6,28 @@
 // simulation is single-threaded and deterministic: a given program and seed
 // always produce the same event order.
 //
-// The implementation is built for million-event throughput (DESIGN.md §12):
+// The queue is a FIFO now lane in front of one binary min-heap (DESIGN.md §12):
 //
-//  * Event records live in a flat slab with inline small-callback storage
-//    (SmallFn) and generation-tagged slots. Schedule, Cancel, and fire are
-//    O(1) slot operations with zero hashing and — for the common small
-//    lambda — zero allocation. An EventId encodes (slot index, generation);
-//    a stale id (already fired or cancelled) simply fails its generation
-//    check, so Cancel of anything is a safe no-op.
-//  * The queue itself is two timed tiers fronted by a FIFO "now lane":
-//      - now lane: a ring of events scheduled at exactly Now(). Spawn,
-//        Yield, and every WaitQueue wakeup land here — the dominant event
-//        class — and fire in strict FIFO order for O(1) push/pop. These
-//        arrive via Post(), which stores the callback inline in the ring
-//        (no cancellation handle, so no slab slot and no random access).
-//      - rung: a sorted run covering the next kRungWidth of virtual time,
-//        drained from the front; near-future timers (cpu slices, short
-//        sleeps) insert here, almost always at the tail.
-//      - heap: a min-heap of plain 24-byte records for everything beyond
-//        the rung window, plus overflow from a dense window (the rung is
-//        size-capped so its sorted insert never turns O(n)); refilling the
-//        rung pops the heap's prefix (which emerges already sorted), and
-//        Step() merges the rung and heap fronts.
-//    Ordering is bit-identical to a single (time, seq) priority queue: timed
-//    entries at time T were all scheduled before Now() reached T, so they
-//    precede every now-lane entry at T (scheduled at T) in sequence order,
-//    and the rung/heap merge preserves (time, seq) across the split.
+//  * now lane: a power-of-two ring of callbacks due at exactly Now(). Spawn,
+//    Yield, every WaitQueue wakeup and every zero-delay Schedule land here —
+//    the dominant event class — and fire in FIFO order, O(1) each way.
+//  * heap: a std::push_heap/pop_heap min-heap of 24-byte (time, seq, slot)
+//    records for everything later than Now(). The callback itself waits in a
+//    pool (a vector of SmallFn plus a stack of free slot indices) and the
+//    record names its slot. The 64-byte SmallFn stays out of the record on
+//    purpose: with it inside, perfbench ran 3-19% slower, most likely
+//    because every sift step then relocates a SmallFn through its
+//    type-erased ops instead of copying 24 bytes.
+//
+// The order is bit-identical to a single (time, seq) priority queue. Timed
+// entries carry a seq and the heap orders them by (time, seq). A timed entry
+// at time T was scheduled before Now() reached T, so it precedes every
+// now-lane entry at T (scheduled at T) in sequence order: Step() fires the
+// heap front first whenever its time is <= Now(), and the now lane's FIFO
+// order is its sequence order.
+//
+// Events cannot be cancelled. A caller that no longer wants a scheduled
+// callback makes the callback check a flag of its own.
 
 #ifndef QUICKSAND_SIM_SIMULATOR_H_
 #define QUICKSAND_SIM_SIMULATOR_H_
@@ -51,13 +47,6 @@
 
 namespace quicksand {
 
-// Identifies a scheduled event so it can be cancelled (a timeout that is
-// no longer needed). The library itself never cancels: the callers are
-// bench/scale_sim's timeout cells and the simulator tests.
-// Encodes (slot index + 1) << 32 | slot generation; 0 is never produced.
-using EventId = uint64_t;
-inline constexpr EventId kInvalidEventId = 0;
-
 class Simulator {
  public:
   Simulator();
@@ -71,16 +60,12 @@ class Simulator {
   // --- Event scheduling -----------------------------------------------------
 
   // Negative delays are clamped to zero (see simulator.cc for the rationale).
-  EventId Schedule(Duration delay, SmallFn fn);
-  EventId ScheduleAt(SimTime when, SmallFn fn);
-  // Fires `fn` at Now(), in FIFO order with every other now-lane event, but
-  // without a cancellation handle: the callback lives inline in the ring, so
-  // the slab (and its two dependent random accesses per event) is bypassed
-  // entirely. This is the fast path for the dominant event class — Spawn
-  // starts, Yield, and wait-queue wakeups — none of which are ever cancelled.
+  void Schedule(Duration delay, SmallFn fn);
+  void ScheduleAt(SimTime when, SmallFn fn);
+  // Fires `fn` at Now(), in FIFO order with every other now-lane event: the
+  // same as Schedule(Duration::Zero(), fn). Spawn starts, Yield and
+  // wait-queue wakeups take this path.
   void Post(SmallFn fn);
-  // Cancelling an already-fired or unknown event is a no-op.
-  void Cancel(EventId id);
 
   // --- Fibers ---------------------------------------------------------------
 
@@ -145,10 +130,8 @@ class Simulator {
 
   size_t live_fiber_count() const { return live_fiber_count_; }
   int64_t failed_fiber_count() const { return failed_fibers_; }
-  // Scheduled-but-not-yet-fired events, excluding cancelled ones. Tracked as
-  // a direct live counter on the slab: the old queue-size-minus-cancelled-set
-  // arithmetic silently underflowed when a cancelled id was double-counted.
-  size_t pending_event_count() const { return live_events_; }
+  // Scheduled-but-not-yet-fired events.
+  size_t pending_event_count() const { return now_count_ + heap_.size(); }
   // Total events fired since construction (perf accounting for benches).
   int64_t fired_event_count() const { return fired_events_; }
 
@@ -157,20 +140,11 @@ class Simulator {
   struct RootTask;
 
  private:
-  // One slab slot. gen is odd while the slot holds a live event and even
-  // while it is free; an EventId carries the odd gen it was allocated with,
-  // so any pop or Cancel of a stale id fails the equality check.
-  struct EventSlot {
-    uint32_t gen = 0;
-    uint32_t next_free = 0;
-    SmallFn fn;
-  };
-
-  // A timed-tier record: 24 bytes, no indirection. Ordered by (time, seq).
+  // A heap record: 24 bytes, ordered by (time, seq); `slot` indexes fns_.
   struct TimedEntry {
     int64_t time_ns;
     uint64_t seq;
-    EventId id;
+    uint32_t slot;
   };
   struct TimedGreater {
     bool operator()(const TimedEntry& a, const TimedEntry& b) const {
@@ -181,44 +155,11 @@ class Simulator {
     }
   };
 
-  // Width of the rung (tier-1) window of virtual time. Wide enough that cpu
-  // slices and short sleeps land in the rung (sorted-run insert, usually at
-  // the tail), narrow enough that a refill stays a small batch.
-  static constexpr int64_t kRungWidthNs = 64 * 1000;
-  // The rung is a performance heuristic, not a correctness boundary: Step()
-  // compares the rung and heap fronts, so an entry inside the window may
-  // legally overflow to the heap. RungInsert only ever appends at the tail
-  // (non-tail inserts go to the heap instead — a mid-run insert is an O(n)
-  // memmove), and this cap bounds the rung's live length so a dense window
-  // (100k+ timers at the million-proclet scale) cannot bloat it.
-  static constexpr size_t kMaxRungEntries = 4096;
-
-  static constexpr uint32_t kNoSlot = UINT32_MAX;
-
-  // A now-lane ring entry. id == kInvalidEventId marks a Post() event whose
-  // callback lives inline (uncancellable, so no slab slot is needed);
-  // otherwise the entry is a slab-backed Schedule-at-now event.
-  struct NowEntry {
-    EventId id = kInvalidEventId;
-    SmallFn fn;
-  };
-
-  EventId AllocSlot(SmallFn fn);
-  // Returns the slot for a live id, or nullptr if the id is stale/invalid.
-  EventSlot* ResolveLive(EventId id);
-  void FreeSlot(EventId id);
-
-  void NowLanePush(NowEntry entry);
-  NowEntry NowLanePop();
+  void NowLanePush(SmallFn fn);
+  SmallFn NowLanePop();
   void GrowNowLane();
 
-  void RungInsert(TimedEntry entry);
-  void RefillRung();
-  void HeapPush(TimedEntry entry);
-
-  // Earliest entry (live or cancelled) across all tiers; nullopt when empty.
-  // Includes cancelled entries deliberately: RunUntil's deadline check has
-  // always been against the raw queue head.
+  // Earliest pending event time; nullopt when nothing is pending.
   std::optional<int64_t> EarliestEntryTimeNs() const;
 
   void FiberFinished(internal::FiberState& state);
@@ -231,27 +172,18 @@ class Simulator {
   uint64_t next_fiber_id_ = 1;
   bool tearing_down_ = false;
   int64_t failed_fibers_ = 0;
-
-  // Event slab.
-  std::vector<EventSlot> slots_;
-  uint32_t free_head_ = kNoSlot;
-  size_t live_events_ = 0;
   int64_t fired_events_ = 0;
 
-  // Now lane: power-of-two ring of entries at time == now_. Post() events
-  // carry their callback inline; Schedule-at-now events reference the slab.
-  std::vector<NowEntry> now_lane_;
+  // Now lane: power-of-two ring of callbacks due at time == now_.
+  std::vector<SmallFn> now_lane_;
   size_t now_head_ = 0;
   size_t now_count_ = 0;
 
-  // Rung: sorted by (time, seq), drained from rung_pos_; holds near-future
-  // entries (inserted while < rung_end_ns_, or batched in by RefillRung).
-  // Heap: min-heap over (time, seq) for everything else, including overflow
-  // from a dense rung window. Step() merges the two fronts.
-  std::vector<TimedEntry> rung_;
-  size_t rung_pos_ = 0;
-  int64_t rung_end_ns_ = 0;
+  // Timed events: the min-heap of records and the pool their callbacks wait
+  // in. A slot is pushed on free_slots_ when its event fires.
   std::vector<TimedEntry> heap_;
+  std::vector<SmallFn> fns_;
+  std::vector<uint32_t> free_slots_;
 
   // Fiber table: chunked arena plus an intrusive list of live fibers.
   std::shared_ptr<internal::FiberArena> fiber_arena_;

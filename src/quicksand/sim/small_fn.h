@@ -82,7 +82,7 @@ class SmallFn {
   struct Ops {
     void (*invoke)(void*);
     // Move-constructs *src into dst and destroys *src (storage relocation for
-    // slab growth and SmallFn moves; both storages are raw and unconstructed
+    // pool growth and SmallFn moves; both storages are raw and unconstructed
     // or moved-from afterwards).
     void (*relocate)(void* dst, void* src);
     void (*destroy)(void*);

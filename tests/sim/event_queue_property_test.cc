@@ -1,17 +1,16 @@
-// Property test for the event core: drive the slab + ladder-queue scheduler
-// with a seeded random mix of schedule / cancel / reschedule / chained
-// schedules, and assert that the firing order matches a reference model — a
-// std::multimap ordered by (time, seq), the specification the old single
-// priority queue implemented directly. Also cross-checks the live-event
-// counter against the model's size after every operation.
+// Property test for the event core: drive the now lane + heap scheduler with a
+// seeded random mix of timed schedules, zero-delay schedules, Posts,
+// past-deadline (negative-delay) schedules and schedules made from inside a
+// firing event, and assert that the firing order matches a reference model —
+// a std::multimap ordered by (time, seq), where every insertion takes the next
+// seq. Also cross-checks the pending-event count against the model's size
+// after every operation.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "quicksand/sim/simulator.h"
 
@@ -26,16 +25,17 @@ uint64_t SplitMix64(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-class ModelDriver {
+class ModelChecker {
  public:
-  explicit ModelDriver(uint64_t seed) : rng_(seed) {}
+  explicit ModelChecker(uint64_t seed) : rng_(seed) {}
 
   // (time_ns, seq): the total order every event fires in.
   using Key = std::pair<int64_t, uint64_t>;
 
   void ScheduleOne(bool allow_chain) {
-    // Mix of delays: the now lane (zero), the rung window (< 64us), and the
-    // far heap — plus exact-boundary values to probe the rung edge.
+    // Mix of delays: the now lane (zero), the near heap, a coarse 1 µs grid
+    // (so timed events often tie on time and must fire in seq order), and
+    // the far heap.
     const uint64_t r = SplitMix64(rng_);
     Duration delay = Duration::Zero();
     switch (r % 8) {
@@ -49,42 +49,29 @@ class ModelDriver {
         delay = Duration::Nanos(static_cast<int64_t>(r / 8 % 64000));
         break;
       case 5:
-        delay = Duration::Nanos(64000);  // exactly one rung width out
+        delay = Duration::Micros(1 + static_cast<int64_t>(r / 8 % 8));
         break;
       default:
         delay = Duration::Nanos(static_cast<int64_t>(r / 8 % 2000000));
         break;
     }
-    const uint64_t token = next_token_++;
     const Key key{(sim_.Now() + delay).nanos(), next_seq_++};
-    const bool chain = allow_chain && (r >> 60) == 0;
-    const EventId id = sim_.Schedule(delay, [this, token, chain] {
-      OnFire(token);
-      if (chain) {
-        ScheduleOne(/*allow_chain=*/false);  // schedule-during-drain coverage
-      }
-    });
-    ASSERT_NE(id, kInvalidEventId);
-    auto it = model_.emplace(key, token);
-    by_id_.emplace(id, it);
-    token_to_id_.emplace(token, id);
-    live_.push_back(id);
+    sim_.Schedule(delay, Track(key, allow_chain && (r >> 60) == 0));
   }
 
-  void CancelRandom() {
-    if (live_.empty()) {
-      return;
-    }
-    const size_t pick = SplitMix64(rng_) % live_.size();
-    const EventId id = live_[pick];
-    live_[pick] = live_.back();
-    live_.pop_back();
-    sim_.Cancel(id);  // no-op if the event already fired — the model agrees:
-    auto it = by_id_.find(id);
-    if (it != by_id_.end()) {
-      model_.erase(it->second);
-      by_id_.erase(it);
-    }
+  // Post and a negative-delay Schedule (a deadline already past) both enter
+  // the model at (Now(), next seq).
+  void PostOne(bool allow_chain) {
+    const uint64_t r = SplitMix64(rng_);
+    const Key key{sim_.Now().nanos(), next_seq_++};
+    sim_.Post(Track(key, allow_chain && (r >> 60) == 0));
+  }
+
+  void SchedulePastDeadline() {
+    const uint64_t r = SplitMix64(rng_);
+    const Key key{sim_.Now().nanos(), next_seq_++};
+    sim_.Schedule(-Duration::Nanos(1 + static_cast<int64_t>(r % 2000000)),
+                  Track(key, /*chain=*/false));
   }
 
   void StepSome(size_t n) {
@@ -110,6 +97,20 @@ class ModelDriver {
   size_t scheduled() const { return next_token_; }
 
  private:
+  // Enters `key` in the model and returns the callback that checks it fires
+  // in model order. A chained callback schedules once more while the queue
+  // drains.
+  SmallFn Track(Key key, bool chain) {
+    const uint64_t token = next_token_++;
+    model_.emplace(key, token);
+    return [this, token, chain] {
+      OnFire(token);
+      if (chain) {
+        ScheduleOne(/*allow_chain=*/false);
+      }
+    };
+  }
+
   void OnFire(uint64_t token) {
     ASSERT_FALSE(model_.empty()) << "fired token " << token
                                  << " but the model expects nothing";
@@ -121,63 +122,58 @@ class ModelDriver {
                     << " seq=" << front->first.second;
     }
     EXPECT_EQ(front->first.first, sim_.Now().nanos());
-    by_id_.erase(token_to_id_.at(token));
-    token_to_id_.erase(token);
     model_.erase(front);
   }
 
   Simulator sim_;
   uint64_t rng_;
-  uint64_t next_seq_ = 1;   // mirrors the simulator's insertion sequence
+  uint64_t next_seq_ = 1;
   uint64_t next_token_ = 0;
   std::multimap<Key, uint64_t> model_;
-  std::unordered_map<EventId, std::multimap<Key, uint64_t>::iterator> by_id_;
-  std::unordered_map<uint64_t, EventId> token_to_id_;
-  std::vector<EventId> live_;  // may contain stale ids; Cancel tolerates them
   int mismatches_ = 0;
 };
 
-TEST(EventQueuePropertyTest, RandomScheduleCancelRescheduleMatchesModel) {
+TEST(EventQueuePropertyTest, RandomSchedulePostAndPastDeadlineMatchModel) {
   constexpr size_t kTargetEvents = 100000;
-  ModelDriver driver(/*seed=*/0x9d5c0ffeeULL);
-  while (driver.scheduled() < kTargetEvents) {
-    const uint64_t op = driver.Rand() % 10;
+  ModelChecker checker(/*seed=*/0x9d5c0ffeeULL);
+  while (checker.scheduled() < kTargetEvents) {
+    const uint64_t op = checker.Rand() % 10;
     if (op < 5) {
-      driver.ScheduleOne(/*allow_chain=*/true);
+      checker.ScheduleOne(/*allow_chain=*/true);
     } else if (op < 7) {
-      driver.CancelRandom();
+      checker.PostOne(/*allow_chain=*/true);
     } else if (op == 7) {
-      // Reschedule: cancel one and immediately schedule a fresh replacement.
-      driver.CancelRandom();
-      driver.ScheduleOne(/*allow_chain=*/false);
+      checker.SchedulePastDeadline();
     } else {
-      driver.StepSome(driver.Rand() % 16);
+      checker.StepSome(checker.Rand() % 16);
     }
-    driver.CheckCounts();
+    checker.CheckCounts();
     if (::testing::Test::HasFatalFailure()) {
       return;
     }
   }
-  driver.DrainAndVerify();
+  checker.DrainAndVerify();
 }
 
 TEST(EventQueuePropertyTest, SecondSeedMatchesModel) {
-  ModelDriver driver(/*seed=*/42);
-  while (driver.scheduled() < 20000) {
-    const uint64_t op = driver.Rand() % 8;
+  ModelChecker checker(/*seed=*/42);
+  while (checker.scheduled() < 20000) {
+    const uint64_t op = checker.Rand() % 8;
     if (op < 4) {
-      driver.ScheduleOne(/*allow_chain=*/true);
-    } else if (op < 6) {
-      driver.CancelRandom();
+      checker.ScheduleOne(/*allow_chain=*/true);
+    } else if (op == 4) {
+      checker.PostOne(/*allow_chain=*/true);
+    } else if (op == 5) {
+      checker.SchedulePastDeadline();
     } else {
-      driver.StepSome(driver.Rand() % 32);
+      checker.StepSome(checker.Rand() % 32);
     }
-    driver.CheckCounts();
+    checker.CheckCounts();
     if (::testing::Test::HasFatalFailure()) {
       return;
     }
   }
-  driver.DrainAndVerify();
+  checker.DrainAndVerify();
 }
 
 }  // namespace

@@ -43,21 +43,6 @@ TEST(SimulatorTest, SameTimeEventsFifo) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(SimulatorTest, CancelPreventsExecution) {
-  Simulator sim;
-  bool fired = false;
-  const EventId id = sim.Schedule(1_ms, [&] { fired = true; });
-  sim.Cancel(id);
-  sim.RunUntilIdle();
-  EXPECT_FALSE(fired);
-}
-
-TEST(SimulatorTest, CancelUnknownIdIsNoop) {
-  Simulator sim;
-  sim.Cancel(kInvalidEventId);
-  sim.Cancel(99999);
-}
-
 TEST(SimulatorTest, RunUntilStopsAtDeadline) {
   Simulator sim;
   bool early = false;
