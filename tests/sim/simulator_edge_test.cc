@@ -118,6 +118,28 @@ TEST(SimulatorEdgeTest, NegativeDelayClampsIntoNowLaneFifo) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
+TEST(SimulatorEdgeTest, FiringScheduledAtNamesWhenTheEventWasScheduled) {
+  // A timed event reports the time it was scheduled at, a now-lane event
+  // Now(); between Step()s the last event fired is named, and RunUntil up to
+  // a deadline reads as if a now-lane event fired last.
+  Simulator sim;
+  std::vector<int64_t> seen;
+  sim.Schedule(3_ms, [&] {
+    seen.push_back(sim.firing_scheduled_at().nanos());
+    sim.Schedule(2_ms, [&] { seen.push_back(sim.firing_scheduled_at().nanos()); });
+    sim.Post([&] { seen.push_back(sim.firing_scheduled_at().nanos()); });
+  });
+  sim.RunUntil(SimTime::Zero() + 1_ms);
+  EXPECT_EQ(sim.firing_scheduled_at(), SimTime::Zero() + 1_ms);
+  ASSERT_TRUE(sim.Step());  // the 3 ms event, scheduled at 0
+  EXPECT_EQ(sim.firing_scheduled_at(), SimTime::Zero());
+  sim.RunUntilIdle();
+  EXPECT_EQ(seen, (std::vector<int64_t>{0, (3_ms).nanos(), (3_ms).nanos()}));
+  EXPECT_EQ(sim.firing_scheduled_at(), SimTime::Zero() + 3_ms);  // the 5 ms event's
+  sim.RunUntil(SimTime::Zero() + 5_ms);
+  EXPECT_EQ(sim.firing_scheduled_at(), SimTime::Zero() + 5_ms);
+}
+
 Task<> InlinePastSleep(Simulator& sim, bool& ran) {
   co_await sim.SleepUntil(SimTime::Zero() + 5_ms);  // 5ms behind Now()
   ran = true;
