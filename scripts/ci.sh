@@ -9,7 +9,10 @@
 # --smoke run writes a record, nor ab11's --seeds and --one: only a plain
 # full run does. The binaries whose GPU fibers are still parked inside a
 # proclet call at simulator teardown (fig3, dnn_pipeline) also run under
-# ASan/UBSan and must match the same records. It ends by failing if any
+# ASan/UBSan and must match the same records, and so does fig2, whose span
+# jobs, streams and prefetch fibers share shard-map snapshots while the
+# vectors grow, and whose reactors and rebalancer walk the runtime's live
+# proclet list in every configuration. It ends by failing if any
 # gate left a committed record under results/ changed. Left out of the
 # record gate: scale_sim (a host-time record).
 #
@@ -93,6 +96,10 @@ echo "== parked calls (sanitized): fig3 and dnn_pipeline tear down parked GPU po
 ./build-asan/bench/fig3_gpu_adaptation > results/fig3_gpu_adaptation.txt
 ./build-asan/examples/dnn_pipeline > results/example_dnn_pipeline.txt
 git diff --exit-code results/fig3_gpu_adaptation.txt results/example_dnn_pipeline.txt
+
+echo "== shared shard maps (sanitized): fig2 matches its record under ASan/UBSan =="
+./build-asan/bench/fig2_imbalanced_pipeline > results/fig2_imbalanced_pipeline.txt
+git diff --exit-code results/fig2_imbalanced_pipeline.txt
 
 echo "== clean records: no gate rewrote a committed file under results/ =="
 git diff --exit-code -- results/

@@ -132,7 +132,8 @@ Task<> MaintainShards(Ctx ctx, DS ds, int64_t max_bytes, int64_t min_bytes,
   using Shard = typename DS::Shard;
   Runtime& rt = *ctx.rt;
   co_await ds.router().Refresh(ctx);
-  const std::vector<ShardInfo> shards = ds.router().cached_shards();
+  const ShardRouter::Snapshot snapshot = ds.router().snapshot();  // held across awaits
+  const std::vector<ShardInfo>& shards = *snapshot;
 
   for (size_t i = 0; i < shards.size(); ++i) {
     auto* shard = rt.UnsafeGet<Shard>(shards[i].proclet);

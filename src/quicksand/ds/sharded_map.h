@@ -397,8 +397,8 @@ class ShardedMap : public ShardedHandle {
       }
       int64_t total = 0;
       bool restored = false;
-      const std::vector<ShardInfo> shards = router_.cached_shards();
-      for (const ShardInfo& info : shards) {
+      const ShardRouter::Snapshot shards = router_.snapshot();  // held across awaits
+      for (const ShardInfo& info : *shards) {
         Ref<Shard> shard(ctx.rt, info.proclet);
         auto call = shard.Call(ctx, [](Shard& s) -> Task<int64_t> {
           co_return s.count();
@@ -433,8 +433,8 @@ class ShardedMap : public ShardedHandle {
       }
       std::vector<std::pair<K, V>> out;
       bool restored = false;
-      const std::vector<ShardInfo> shards = router_.cached_shards();
-      for (const ShardInfo& info : shards) {
+      const ShardRouter::Snapshot shards = router_.snapshot();  // held across awaits
+      for (const ShardInfo& info : *shards) {
         Ref<Shard> shard(ctx.rt, info.proclet);
         auto call = shard.Call(ctx, [](Shard& s) -> Task<std::vector<std::pair<K, V>>> {
           co_return s.Items();

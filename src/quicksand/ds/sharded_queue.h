@@ -212,7 +212,9 @@ class ShardedQueue {
   Task<Result<int64_t>> Size(Ctx ctx) {
     co_await router_.Refresh(ctx);
     int64_t total = 0;
-    for (const ShardInfo& info : router_.cached_shards()) {
+    // Held across the awaits: a refresh on this handle replaces the router's.
+    const ShardRouter::Snapshot segments = router_.snapshot();
+    for (const ShardInfo& info : *segments) {
       Ref<Segment> segment(ctx.rt, info.proclet);
       auto call = segment.Call(ctx, [](Segment& s) -> Task<int64_t> {
         co_return s.count();

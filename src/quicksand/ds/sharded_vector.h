@@ -364,7 +364,7 @@ class ShardedVector : public ShardedHandle {
     const int64_t request_bytes = WireSizeOf(value);
     for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
       // A cached tail needs no index call, so it skips RouteTail's frame.
-      Result<ShardInfo> tail = CachedTail();
+      Result<ShardInfo> tail = router_.CachedTail();
       if (!tail.ok()) {
         tail = co_await RouteTail(ctx);
       }
@@ -559,16 +559,6 @@ class ShardedVector : public ShardedHandle {
     co_return Status::Aborted("too many point-access retries");
   }
 
-  // The tail is the shard whose range extends to UINT64_MAX.
-  Result<ShardInfo> CachedTail() const {
-    for (const ShardInfo& shard : router_.cached_shards()) {
-      if (shard.end == UINT64_MAX) {
-        return shard;
-      }
-    }
-    return Status::NotFound("no cached tail");
-  }
-
   // Between a concurrent grower's seal and its new-tail insertion the index
   // briefly has no tail; wait out that window.
   Task<Result<ShardInfo>> RouteTail(Ctx ctx) {
@@ -579,7 +569,7 @@ class ShardedVector : public ShardedHandle {
       }
     }
     for (int i = 0; i < kMaxAttempts; ++i) {
-      Result<ShardInfo> tail = CachedTail();
+      Result<ShardInfo> tail = router_.CachedTail();
       if (tail.ok()) {
         co_return tail;
       }

@@ -46,23 +46,29 @@ MachineId Runtime::LocationOf(ProcletId id) const {
 
 std::vector<ProcletId> Runtime::ProcletsOn(MachineId machine) const {
   std::vector<ProcletId> result;
-  for (const auto& [id, proclet] : proclets_) {
+  for (const ProcletBase* proclet : live_) {
     if (proclet->location() == machine) {
-      result.push_back(id);
+      result.push_back(proclet->id());
     }
   }
-  std::sort(result.begin(), result.end());
   return result;
 }
 
-std::vector<ProcletId> Runtime::AllProclets() const {
-  std::vector<ProcletId> result;
-  result.reserve(proclets_.size());
-  for (const auto& [id, proclet] : proclets_) {
-    result.push_back(id);
-  }
-  std::sort(result.begin(), result.end());
-  return result;
+namespace {
+
+// First entry of `live` whose id is not below `id`.
+auto LowerBound(const std::vector<ProcletBase*>& live, ProcletId id) {
+  return std::lower_bound(
+      live.begin(), live.end(), id,
+      [](const ProcletBase* proclet, ProcletId key) { return proclet->id() < key; });
+}
+
+}  // namespace
+
+void Runtime::Unlist(ProcletId id) {
+  auto it = LowerBound(live_, id);
+  QS_CHECK(it != live_.end() && (*it)->id() == id);
+  live_.erase(it);
 }
 
 Task<MachineId> Runtime::ResolveLocation(MachineId from, ProcletId id) {
@@ -181,6 +187,7 @@ Task<Status> Runtime::Destroy(Ctx ctx, ProcletId id) {
   QS_CHECK(it != proclets_.end());
   std::shared_ptr<ProcletBase> doomed(it->second.release());
   proclets_.erase(it);
+  Unlist(id);
   sim_.Post([doomed]() mutable { doomed.reset(); });
   co_return Status::Ok();
 }
@@ -433,6 +440,7 @@ void Runtime::LoseProclet(ProcletId id) {
     limbo_.emplace(id, std::move(it->second));
   }
   proclets_.erase(it);
+  Unlist(id);
   ++stats_.lost_proclets;
   if (tracer_ != nullptr) {
     tracer_->Instant(TraceContext{}, host, TraceOp::kLost, id,
@@ -467,6 +475,7 @@ Status Runtime::AdoptRestored(ProcletId id, std::unique_ptr<ProcletBase> obj,
   lost_ids_.erase(id);
   directory_[id] = host;
   const uint64_t new_epoch = epoch_of_[id];
+  live_.insert(LowerBound(live_, id), obj.get());
   proclets_.emplace(id, std::move(obj));
   ++stats_.restored_proclets;
   if (tracer_ != nullptr) {

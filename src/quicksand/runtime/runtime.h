@@ -466,8 +466,11 @@ class Runtime {
   ProcletBase* Find(ProcletId id);
   // Authoritative location; kInvalidMachineId if the proclet is gone.
   MachineId LocationOf(ProcletId id) const;
+  // Ids of the live proclets on `machine`, ascending.
   std::vector<ProcletId> ProcletsOn(MachineId machine) const;
-  std::vector<ProcletId> AllProclets() const;
+  // Every live proclet, in ascending id order. A walk that suspends must not
+  // hold the reference: creation, destruction, loss and restore edit it.
+  const std::vector<ProcletBase*>& LiveProclets() const { return live_; }
   size_t proclet_count() const { return proclets_.size(); }
 
   // --- Affinity --------------------------------------------------------------
@@ -540,6 +543,8 @@ class Runtime {
   // machine's cache and loses every proclet it hosts, optionally fencing
   // the corpses (gray failure: the host may still be running them).
   void PurgeMachine(MachineId machine, bool fence);
+  // Drops a destroyed or lost proclet from live_.
+  void Unlist(ProcletId id);
 
   ProcletId next_id_ = 1;
   Simulator& sim_;
@@ -548,6 +553,9 @@ class Runtime {
   RuntimeStats stats_;
   std::unique_ptr<PlacementPolicy> placement_;
   std::unordered_map<ProcletId, std::unique_ptr<ProcletBase>> proclets_;
+  // The same proclets in ascending id order. Ids only grow, so a creation
+  // appends; a restore (AdoptRestored) inserts in the middle.
+  std::vector<ProcletBase*> live_;
   // Proclets lost to machine failures. The objects linger here until the
   // Runtime is torn down: in-flight calls, gate waiters, and operators that
   // captured a ProcletBase* across a suspension observe `lost()` instead of
@@ -663,6 +671,7 @@ Task<Result<Ref<P>>> Runtime::Create(Ctx ctx, PlacementRequest request, Args... 
   }
   directory_[id] = host;
   location_cache_[ctx.machine][id] = host;
+  live_.push_back(proclet.get());
   proclets_.emplace(id, std::move(proclet));
   ++stats_.creations;
   if (tracer_ != nullptr) {

@@ -1,6 +1,7 @@
 #include "quicksand/sched/global_rebalancer.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "quicksand/common/logging.h"
 #include "quicksand/sched/placement.h"
@@ -19,15 +20,18 @@ Task<> GlobalRebalancer::Loop() {
   }
 }
 
-double GlobalRebalancer::ScoreOn(const ProcletBase& p, MachineId machine) const {
+double GlobalRebalancer::PlacementOn(const ProcletBase& p, MachineId machine) const {
   PlacementRequest req;
   req.kind = p.kind();
   req.heap_bytes = p.heap_bytes();
-  const Machine& m = rt_.cluster().machine(machine);
   // Don't let the proclet's own presence handicap its current machine.
-  const bool exclude_self = (machine == p.location());
-  double score = PlacementScore(req, m, exclude_self);
-  if (exclude_self && p.kind() == ProcletKind::kMemory) {
+  return PlacementScore(req, rt_.cluster().machine(machine), machine == p.location());
+}
+
+double GlobalRebalancer::ScoreOn(const ProcletBase& p, MachineId machine,
+                                 double placement) const {
+  double score = placement;
+  if (machine == p.location() && p.kind() == ProcletKind::kMemory) {
     // Its heap is charged here; compare "free bytes if I weren't here" with
     // the other machines' free bytes.
     score += static_cast<double>(p.heap_bytes());
@@ -52,11 +56,25 @@ Task<int> GlobalRebalancer::RebalanceOnce() {
     double gain;
   };
   std::vector<Move> moves;
-  for (ProcletId id : rt_.AllProclets()) {
-    ProcletBase* p = rt_.Find(id);
-    if (p == nullptr || p->gate_closed()) {
+  // Nothing below suspends until the moves, so the live list and every
+  // machine hold still while the scan walks them. PlacementScore reads only
+  // the request's kind, so one read serves every proclet of that kind: by
+  // machine, kind (3 values) and whether the proclet is hosted there.
+  std::vector<std::optional<double>> placements(rt_.cluster().size() * 3 * 2);
+  auto placement_on = [&](const ProcletBase& p, MachineId machine) {
+    std::optional<double>& read =
+        placements[(machine * 3 + static_cast<size_t>(p.kind())) * 2 +
+                   (machine == p.location() ? 1 : 0)];
+    if (!read.has_value()) {
+      read = PlacementOn(p, machine);  // first need: see global_rebalancer.h
+    }
+    return *read;
+  };
+  for (ProcletBase* p : rt_.LiveProclets()) {
+    if (p->gate_closed()) {
       continue;
     }
+    const ProcletId id = p->id();
     auto cooled = last_moved_.find(id);
     if (cooled != last_moved_.end() &&
         rt_.sim().Now() - cooled->second < config_.proclet_cooldown) {
@@ -67,7 +85,7 @@ Task<int> GlobalRebalancer::RebalanceOnce() {
       continue;
     }
     const MachineId current = p->location();
-    const double here = ScoreOn(*p, current);
+    const double here = ScoreOn(*p, current, placement_on(*p, current));
     MachineId best = current;
     double best_score = here;
     for (MachineId m = 0; m < rt_.cluster().size(); ++m) {
@@ -80,7 +98,7 @@ Task<int> GlobalRebalancer::RebalanceOnce() {
       if (rt_.cluster().machine(m).memory().free() < p->heap_bytes()) {
         continue;
       }
-      const double score = ScoreOn(*p, m);
+      const double score = ScoreOn(*p, m, placement_on(*p, m));
       if (score > best_score) {
         best_score = score;
         best = m;
@@ -119,8 +137,8 @@ Task<int> GlobalRebalancer::RebalanceOnce() {
         p->kind() == ProcletKind::kMemory
             ? static_cast<double>(config_.min_memory_gain_bytes)
             : 1.0;
-    const double here_now = ScoreOn(*p, p->location());
-    const double there_now = ScoreOn(*p, move.to);
+    const double here_now = ScoreOn(*p, p->location(), PlacementOn(*p, p->location()));
+    const double there_now = ScoreOn(*p, move.to, PlacementOn(*p, move.to));
     if (there_now <=
         here_now * (1.0 + config_.improvement_threshold) + revalidate_gain) {
       continue;

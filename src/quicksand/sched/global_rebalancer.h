@@ -7,6 +7,14 @@
 // proclets, §5 "How can we maintain locality?"). Migrations per round are
 // bounded, and an improvement hysteresis avoids oscillation against the
 // local reactors.
+//
+// A scan walks the runtime's one id-ordered list of live proclets in place,
+// and reads each machine's placement score once per scan, lazily: the
+// first time a proclet needs it, then from the scan's cache. Not before
+// then, because a compute score syncs that machine's CPU scheduler, which
+// may arm a wake-up; reading in first-need order keeps those reads where a
+// per-proclet read would make them. Only the revalidation before each move
+// reads live state again.
 
 #ifndef QUICKSAND_SCHED_GLOBAL_REBALANCER_H_
 #define QUICKSAND_SCHED_GLOBAL_REBALANCER_H_
@@ -54,7 +62,11 @@ class GlobalRebalancer {
   int64_t total_migrations() const { return total_migrations_; }
 
  private:
-  double ScoreOn(const ProcletBase& p, MachineId machine) const;
+  // The machine's PlacementScore for `p`'s kind, read now; `p`'s own
+  // presence does not count against its current machine.
+  double PlacementOn(const ProcletBase& p, MachineId machine) const;
+  // How well `machine` would host `p`, given its PlacementOn score.
+  double ScoreOn(const ProcletBase& p, MachineId machine, double placement) const;
   Task<> Loop();
 
   Runtime& rt_;

@@ -75,10 +75,9 @@ Task<> LocalReactor::HandleCpuPressure() {
   }
   // Evict compute proclets, smallest heap first (cheapest to move).
   std::vector<ProcletBase*> candidates;
-  for (ProcletId id : rt_.ProcletsOn(machine_)) {
-    ProcletBase* p = rt_.Find(id);
-    if (p != nullptr && p->kind() == ProcletKind::kCompute && !p->gate_closed() &&
-        !InCooldown(id)) {
+  for (ProcletBase* p : rt_.LiveProclets()) {
+    if (p->location() == machine_ && p->kind() == ProcletKind::kCompute &&
+        !p->gate_closed() && !InCooldown(p->id())) {
       candidates.push_back(p);
     }
   }
@@ -134,10 +133,9 @@ Task<> LocalReactor::HandleMemoryPressure() {
   // (recently invoked) proclets are skipped — see memory_hot_window; the
   // harvestable cache shards are never migrated (dropping beats shipping).
   std::vector<ProcletBase*> candidates;
-  for (ProcletId id : rt_.ProcletsOn(machine_)) {
-    ProcletBase* p = rt_.Find(id);
-    if (p == nullptr || p->kind() != ProcletKind::kMemory || p->gate_closed() ||
-        p->harvestable() || InCooldown(id)) {
+  for (ProcletBase* p : rt_.LiveProclets()) {
+    if (p->location() != machine_ || p->kind() != ProcletKind::kMemory ||
+        p->gate_closed() || p->harvestable() || InCooldown(p->id())) {
       continue;
     }
     const bool hot = p->invocation_count() > 0 &&

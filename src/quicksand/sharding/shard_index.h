@@ -7,12 +7,24 @@
 // Clients cache the index (ShardRouter) and refresh lazily: a request that
 // reaches the wrong shard after a split/merge gets kOutOfRange back, and the
 // router re-pulls the index snapshot.
+//
+// The ranges are sorted by `begin` and disjoint: AddShard and UpdateShard
+// refuse an overlap, so a snapshot (a walk of the index's map) routes a key
+// by binary search, and the range that runs to UINT64_MAX, when there is
+// one, is its last entry. A router holds its snapshot as one immutable,
+// shared vector that a refresh replaces whole: copying a handle copies a
+// pointer, and Refresh or Invalidate on one copy leaves the others' view
+// alone. A scan that suspends holds `snapshot()` for its duration, since a
+// refresh on the same handle (another fiber's) would otherwise free the list
+// under it.
 
 #ifndef QUICKSAND_SHARDING_SHARD_INDEX_H_
 #define QUICKSAND_SHARDING_SHARD_INDEX_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "quicksand/common/status.h"
@@ -104,7 +116,8 @@ class ShardIndexProclet : public ProcletBase {
   }
 
   // Replaces the entry whose range contains info.begin (used when a split
-  // shrinks a shard or stats change).
+  // shrinks a shard, a merge widens one, or stats change). A range that
+  // would reach into the next shard's is refused, as AddShard refuses one.
   Status UpdateShard(const ShardInfo& info) {
     auto it = shards_.upper_bound(info.begin);
     if (it == shards_.begin()) {
@@ -113,6 +126,10 @@ class ShardIndexProclet : public ProcletBase {
     --it;
     if (it->second.proclet != info.proclet) {
       return Status::FailedPrecondition("shard at that key has a different proclet");
+    }
+    auto next = std::next(it);
+    if (next != shards_.end() && next->second.begin < info.end) {
+      return Status::FailedPrecondition("range overlaps an existing shard");
     }
     shards_.erase(it);
     shards_.emplace(info.begin, info);
@@ -176,19 +193,27 @@ class ShardIndexProclet : public ProcletBase {
   uint64_t version_ = 1;
 };
 
-// Client-side cached view of a shard index.
+// Client-side cached view of a shard index: one shared, immutable snapshot
+// (see the file comment).
 class ShardRouter {
  public:
+  using Snapshot = std::shared_ptr<const std::vector<ShardInfo>>;
+
   ShardRouter() = default;
   explicit ShardRouter(Ref<ShardIndexProclet> index) : index_(index) {}
 
   Ref<ShardIndexProclet> index() const { return index_; }
   uint64_t cached_version() const { return version_; }
-  const std::vector<ShardInfo>& cached_shards() const { return cache_; }
+  // Null before the first refresh and after Invalidate.
+  const Snapshot& snapshot() const { return snapshot_; }
+  const std::vector<ShardInfo>& cached_shards() const {
+    static const std::vector<ShardInfo> kNone;
+    return snapshot_ != nullptr ? *snapshot_ : kNone;
+  }
 
   // Routes a key through the cache, fetching the index on first use.
   Task<Result<ShardInfo>> Route(Ctx ctx, uint64_t key) {
-    if (cache_.empty()) {
+    if (cached_shards().empty()) {
       co_await Refresh(ctx);
     }
     Result<ShardInfo> hit = LookupCached(key);
@@ -207,29 +232,42 @@ class ShardRouter {
         });
     auto [version, shards] = co_await std::move(call);
     version_ = version;
-    cache_ = std::move(shards);
+    snapshot_ = std::make_shared<const std::vector<ShardInfo>>(std::move(shards));
     co_return version;
   }
 
   void Invalidate() {
-    cache_.clear();
+    snapshot_.reset();
     version_ = 0;
   }
 
-  // The cached shard covering `key`, without calling the index.
+  // The cached shard covering `key`, without calling the index: the last
+  // range that begins at or below it, if it reaches past `key`.
   Result<ShardInfo> LookupCached(uint64_t key) const {
-    for (const ShardInfo& shard : cache_) {
-      if (key >= shard.begin && key < shard.end) {
-        return shard;
-      }
+    const std::vector<ShardInfo>& shards = cached_shards();
+    auto after = std::upper_bound(
+        shards.begin(), shards.end(), key,
+        [](uint64_t k, const ShardInfo& shard) { return k < shard.begin; });
+    if (after != shards.begin() && key < std::prev(after)->end) {
+      return *std::prev(after);
     }
     return Status::NotFound("no cached shard covers key");
+  }
+
+  // The cached shard whose range runs to UINT64_MAX (a ShardedVector's
+  // tail), without calling the index: the last entry, when it is one.
+  Result<ShardInfo> CachedTail() const {
+    const std::vector<ShardInfo>& shards = cached_shards();
+    if (!shards.empty() && shards.back().end == UINT64_MAX) {
+      return shards.back();
+    }
+    return Status::NotFound("no cached tail");
   }
 
  private:
   Ref<ShardIndexProclet> index_;
   uint64_t version_ = 0;
-  std::vector<ShardInfo> cache_;
+  Snapshot snapshot_;
 };
 
 }  // namespace quicksand

@@ -192,6 +192,30 @@ TEST(ShardedQueueTest, SegmentsCanMigrateMidstream) {
   EXPECT_EQ(expected, 100);
 }
 
+Task<> SizeInto(IntQueue& q, Ctx ctx, std::optional<Result<int64_t>>& out) {
+  auto size = q.Size(ctx);
+  out.emplace(co_await std::move(size));
+}
+
+// Two scans on one handle, as the trainer's GPU fibers share one: the second
+// scan's refresh must not free the segment list the first is walking.
+TEST(ShardedQueueTest, ConcurrentSizesOnOneHandleBothCount) {
+  Fixture f(3);
+  IntQueue::Options options;
+  options.max_segment_bytes = 256;
+  IntQueue q = f.sim.BlockOn(MakeQueue(f.ctx(), options));
+  f.sim.BlockOn(PushN(q, f.ctx(), 200));
+  std::optional<Result<int64_t>> first;
+  std::optional<Result<int64_t>> second;
+  f.sim.Spawn(SizeInto(q, f.rt->CtxOn(2), first), "size_a");
+  f.sim.Spawn(SizeInto(q, f.rt->CtxOn(2), second), "size_b");
+  f.sim.RunUntilIdle();
+  ASSERT_TRUE(first.has_value() && first->ok());
+  ASSERT_TRUE(second.has_value() && second->ok());
+  EXPECT_EQ(**first, 200);
+  EXPECT_EQ(**second, 200);
+}
+
 // --- Blocking pop -------------------------------------------------------------
 
 // Where the queue's oldest segment lives, and its id.

@@ -332,15 +332,51 @@ TEST(RuntimeTest, AffinityTracksRemoteTrafficFromProclets) {
   EXPECT_EQ(f.rt->AffinityBytes(777, 12345), 0);
 }
 
+// ProcletsOn and LiveProclets stay ascending and equal to the live set across
+// creation, destruction, a machine loss and the restore of a lower id.
 TEST(RuntimeTest, ProcletsOnListsByMachine) {
-  RuntimeFixture f;
+  RuntimeFixture f(3);
   const Ctx ctx = f.rt->CtxOn(0);
-  Ref<CounterProclet> a = f.sim.BlockOn(f.MakeCounter(ctx, 1_MiB, MachineId{0}));
-  Ref<CounterProclet> b = f.sim.BlockOn(f.MakeCounter(ctx, 1_MiB, MachineId{1}));
-  Ref<CounterProclet> c = f.sim.BlockOn(f.MakeCounter(ctx, 1_MiB, MachineId{1}));
-  EXPECT_EQ(f.rt->ProcletsOn(0), (std::vector<ProcletId>{a.id()}));
-  EXPECT_EQ(f.rt->ProcletsOn(1), (std::vector<ProcletId>{b.id(), c.id()}));
-  EXPECT_EQ(f.rt->AllProclets().size(), 3u);
+  auto live_ids = [&f] {
+    std::vector<ProcletId> ids;
+    for (const ProcletBase* p : f.rt->LiveProclets()) {
+      ids.push_back(p->id());
+    }
+    return ids;
+  };
+  auto make_on = [&](MachineId m) {
+    return f.sim.BlockOn(f.MakeCounter(ctx, 1_MiB, m)).id();
+  };
+  const ProcletId a = make_on(0);
+  const ProcletId b = make_on(1);
+  const ProcletId c = make_on(1);
+  const ProcletId d = make_on(2);
+  const ProcletId e = make_on(0);
+  EXPECT_EQ(f.rt->ProcletsOn(0), (std::vector<ProcletId>{a, e}));
+  EXPECT_EQ(f.rt->ProcletsOn(1), (std::vector<ProcletId>{b, c}));
+  EXPECT_EQ(f.rt->ProcletsOn(2), (std::vector<ProcletId>{d}));
+  EXPECT_EQ(live_ids(), (std::vector<ProcletId>{a, b, c, d, e}));
+
+  ASSERT_TRUE(f.sim.BlockOn(f.rt->Destroy(ctx, c)).ok());
+  EXPECT_EQ(f.rt->ProcletsOn(1), (std::vector<ProcletId>{b}));
+  EXPECT_EQ(live_ids(), (std::vector<ProcletId>{a, b, d, e}));
+
+  f.cluster.machine(1).Fail();
+  f.rt->HandleMachineFailure(1);
+  ASSERT_TRUE(f.rt->IsLost(b));
+  EXPECT_TRUE(f.rt->ProcletsOn(1).empty());
+  EXPECT_EQ(live_ids(), (std::vector<ProcletId>{a, d, e}));
+
+  const ProcletId g = make_on(2);
+  EXPECT_EQ(live_ids(), (std::vector<ProcletId>{a, d, e, g}));
+
+  // The restore brings back an id below three live ones.
+  auto restored = std::make_unique<CounterProclet>(
+      ProcletInit{f.rt.get(), &f.sim, b, CounterProclet::kKind, 2});
+  ASSERT_TRUE(f.rt->AdoptRestored(b, std::move(restored), 2).ok());
+  EXPECT_EQ(f.rt->ProcletsOn(2), (std::vector<ProcletId>{b, d, g}));
+  EXPECT_EQ(live_ids(), (std::vector<ProcletId>{a, b, d, e, g}));
+  EXPECT_EQ(f.rt->proclet_count(), 5u);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include "quicksand/sharding/shard_index.h"
 
+#include <algorithm>
+#include <random>
+
 #include <gtest/gtest.h>
 
 #include "quicksand/common/bytes.h"
@@ -62,6 +65,15 @@ TEST(ShardIndexTest, RejectsOverlaps) {
   // Exactly adjacent is fine.
   EXPECT_TRUE(index->AddShard(Info(11, 200, 300)).ok());
   EXPECT_TRUE(index->AddShard(Info(12, 50, 100)).ok());
+  // An update may not widen a range into its right neighbor either.
+  EXPECT_EQ(index->UpdateShard(Info(10, 100, 201)).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(index->UpdateShard(Info(12, 50, 150)).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(index->LookupKey(100)->proclet, 10u);
+  EXPECT_EQ(index->LookupKey(200)->proclet, 11u);
+  EXPECT_TRUE(index->UpdateShard(Info(10, 100, 200)).ok());
+  EXPECT_TRUE(index->UpdateShard(Info(11, 200, 400)).ok());  // no right neighbor
 }
 
 TEST(ShardIndexTest, RejectsEmptyRange) {
@@ -157,6 +169,106 @@ TEST(ShardRouterTest, InvalidateForcesRefetch) {
   EXPECT_TRUE(index->AddShard(Info(20, 0, 100)).ok());
   router.Invalidate();
   EXPECT_EQ(f.sim.BlockOn(router.Route(ctx, 50))->proclet, 20u);
+}
+
+// The linear scans the router's binary search and last-entry tail stand in
+// for, kept as the reference.
+ProcletId ScanFor(const std::vector<ShardInfo>& shards, uint64_t key) {
+  for (const ShardInfo& shard : shards) {
+    if (key >= shard.begin && key < shard.end) {
+      return shard.proclet;
+    }
+  }
+  return kInvalidProcletId;
+}
+
+ProcletId ScanForTail(const std::vector<ShardInfo>& shards) {
+  for (const ShardInfo& shard : shards) {
+    if (shard.end == UINT64_MAX) {
+      return shard.proclet;
+    }
+  }
+  return kInvalidProcletId;
+}
+
+ProcletId ProcletOf(const Result<ShardInfo>& found) {
+  return found.ok() ? found->proclet : kInvalidProcletId;
+}
+
+TEST(ShardRouterTest, LookupAndTailAgreeWithALinearScan) {
+  std::mt19937_64 rng(7);
+  for (int round = 0; round < 40; ++round) {
+    Fixture f;
+    Ref<ShardIndexProclet> ref = f.MakeIndex();
+    auto* index = f.Get(ref);
+    // Sorted, disjoint ranges with gaps (some empty), the last one running
+    // to UINT64_MAX in every other round; added in shuffled order.
+    const bool with_tail = round % 2 == 0;
+    const int count = static_cast<int>(rng() % 12);
+    std::vector<ShardInfo> ranges;
+    uint64_t at = rng() % 4;
+    for (int i = 0; i < count; ++i) {
+      const uint64_t end = at + 1 + rng() % 40;
+      ranges.push_back(Info(100 + static_cast<ProcletId>(i), at, end));
+      at = end + (rng() % 2 == 0 ? 0 : rng() % 20);
+    }
+    if (with_tail && !ranges.empty()) {
+      ranges.back().end = UINT64_MAX;
+    }
+    std::vector<ShardInfo> shuffled = ranges;
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    for (const ShardInfo& info : shuffled) {
+      ASSERT_TRUE(index->AddShard(info).ok());
+    }
+
+    ShardRouter router(ref);
+    EXPECT_EQ(ProcletOf(router.LookupCached(0)), kInvalidProcletId);
+    EXPECT_EQ(ProcletOf(router.CachedTail()), kInvalidProcletId);
+    f.sim.BlockOn(router.Refresh(f.rt->CtxOn(0)));
+    const std::vector<ShardInfo>& shards = router.cached_shards();
+    ASSERT_EQ(shards.size(), ranges.size());
+    EXPECT_EQ(ProcletOf(router.CachedTail()), ScanForTail(shards));
+
+    std::vector<uint64_t> keys = {0, UINT64_MAX - 1, UINT64_MAX, at + 5};
+    for (const ShardInfo& shard : shards) {
+      keys.insert(keys.end(), {shard.begin, shard.begin - 1, shard.end, shard.end - 1});
+    }
+    for (int i = 0; i < 64; ++i) {
+      keys.push_back(rng() % (at + 8));
+    }
+    for (uint64_t key : keys) {
+      EXPECT_EQ(ProcletOf(router.LookupCached(key)), ScanFor(shards, key))
+          << "round " << round << " key " << key;
+    }
+  }
+}
+
+TEST(ShardRouterTest, ACopyKeepsItsSnapshot) {
+  Fixture f;
+  Ref<ShardIndexProclet> ref = f.MakeIndex();
+  auto* index = f.Get(ref);
+  EXPECT_TRUE(index->AddShard(Info(10, 0, 100)).ok());
+  const Ctx ctx = f.rt->CtxOn(0);
+  ShardRouter router(ref);
+  f.sim.BlockOn(router.Refresh(ctx));
+  const ShardRouter copy = router;
+  EXPECT_EQ(copy.snapshot(), router.snapshot());  // shared, not copied
+
+  EXPECT_TRUE(index->AddShard(Info(11, 100, 200)).ok());
+  f.sim.BlockOn(router.Refresh(ctx));
+  EXPECT_NE(copy.snapshot(), router.snapshot());
+  EXPECT_EQ(router.cached_shards().size(), 2u);
+  EXPECT_EQ(copy.cached_shards().size(), 1u);
+  EXPECT_EQ(ProcletOf(router.LookupCached(150)), 11u);
+  EXPECT_EQ(ProcletOf(copy.LookupCached(150)), kInvalidProcletId);
+  EXPECT_LT(copy.cached_version(), router.cached_version());
+
+  const uint64_t copy_version = copy.cached_version();
+  router.Invalidate();
+  EXPECT_EQ(router.snapshot(), nullptr);
+  EXPECT_TRUE(router.cached_shards().empty());
+  EXPECT_EQ(copy.cached_version(), copy_version);
+  EXPECT_EQ(ProcletOf(copy.LookupCached(50)), 10u);
 }
 
 }  // namespace
